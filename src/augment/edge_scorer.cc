@@ -39,8 +39,10 @@ Var EdgeScorer::Score(Tape* tape, Var node_embeddings,
     Var m = ag::Sigmoid(ag::Leaf(tape, mask_param));
     Var hm = ag::MulRowBroadcast(h, m);
     if (rng == nullptr || noise_stddev_ <= 0.f) return hm;
+    // One key per side and call; the noise itself is counter-based, so
+    // the draw parallelizes and never depends on the thread count.
     Matrix eps(h.rows(), h.cols());
-    InitNormal(&eps, rng, 0.f, noise_stddev_);
+    FillNormal(&eps, rng->NextU64(), 0.f, noise_stddev_);
     Var one_minus_m = ag::AddScalar(ag::Neg(m), 1.f);
     Var noise =
         ag::MulRowBroadcast(ag::Constant(tape, std::move(eps)), one_minus_m);

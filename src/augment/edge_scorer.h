@@ -24,8 +24,9 @@ class EdgeScorer {
 
   /// Scores the given interactions from encoded node embeddings
   /// ((I+J) x d, users first). Returns an (E x 1) vector of probabilities
-  /// in (0, 1). `rng` draws the per-call ε noise; pass nullptr for the
-  /// deterministic (noise-free) inference mode used by the case study.
+  /// in (0, 1). `rng` supplies one key per side and call for the ε noise
+  /// (FillNormal); pass nullptr for the deterministic (noise-free)
+  /// inference mode used by the case study.
   Var Score(Tape* tape, Var node_embeddings, const std::vector<Edge>& edges,
             int32_t item_offset, Rng* rng) const;
 

@@ -22,23 +22,37 @@ int64_t SpmmRowGrain(int64_t rows, int64_t nnz, int64_t dense_cols) {
   return std::max<int64_t>(1, (int64_t{32} << 10) / per_row);
 }
 
-/// Emits a unary elementwise op with derivative expressed in terms of the
-/// *input* value x and the *output* value y. `name` must be a string
+/// Elements per chunk of MapElements, as for the tensor elementwise ops.
+constexpr int64_t kMapGrain = 1 << 15;
+
+/// Elementwise y[i] = fn(x[i]) over the parallel runtime. `fn` is a
+/// template parameter so the per-element call inlines.
+template <typename Fn>
+Matrix MapElements(const Matrix& a, Fn fn) {
+  Matrix out(a.rows(), a.cols());
+  const float* x = a.data();
+  float* y = out.data();
+  ParallelFor(0, a.size(), kMapGrain, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) y[i] = fn(x[i]);
+  });
+  return out;
+}
+
+/// Emits a unary elementwise op y = fwd(x) whose derivative dydx(x) is
+/// expressed in terms of the *input* value. `name` must be a string
 /// literal; it labels the op for the autograd profiler.
-Var UnaryOp(const char* name, Var a, const std::function<float(float)>& fwd,
-            const std::function<float(float, float)>& dydx) {
+template <typename Fwd, typename Dydx>
+Var UnaryOp(const char* name, Var a, Fwd fwd, Dydx dydx) {
   Tape* t = a.tape();
   const double n = static_cast<double>(a.value().size());
   GA_AG_OP(name, n, 8 * n);
-  Matrix y = Map(a.value(), fwd);
+  Matrix y = MapElements(a.value(), fwd);
   const int aid = a.id();
   const bool ng = t->NeedsGrad(aid);
   return t->Emit(std::move(y), ng, [aid, dydx](Tape* t, const Matrix& up) {
     const Matrix& x = t->ValueOf(aid);
-    // Note: we recompute y only when the derivative needs it; callers that
-    // need y capture it below instead. Here we pass (x, 0) -> dydx uses x.
     Matrix g(up.rows(), up.cols());
-    for (int64_t i = 0; i < up.size(); ++i) g[i] = up[i] * dydx(x[i], 0.f);
+    for (int64_t i = 0; i < up.size(); ++i) g[i] = up[i] * dydx(x[i]);
     t->AccumulateGrad(aid, g);
   });
 }
@@ -108,7 +122,7 @@ Var AddScalar(Var a, float s) {
   const double n = static_cast<double>(a.value().size());
   GA_AG_OP("AddScalar", n, 8 * n);
   const int aid = a.id();
-  return t->Emit(Map(a.value(), [s](float x) { return x + s; }),
+  return t->Emit(MapElements(a.value(), [s](float x) { return x + s; }),
                  t->NeedsGrad(aid), [aid](Tape* t, const Matrix& up) {
                    t->AccumulateGrad(aid, up);
                  });
@@ -119,7 +133,7 @@ Var Sigmoid(Var a) {
     return x >= 0 ? 1.f / (1.f + std::exp(-x))
                   : std::exp(x) / (1.f + std::exp(x));
   };
-  return UnaryOp("Sigmoid", a, stable_sigmoid, [stable_sigmoid](float x, float) {
+  return UnaryOp("Sigmoid", a, stable_sigmoid, [stable_sigmoid](float x) {
     const float s = stable_sigmoid(x);
     return s * (1.f - s);
   });
@@ -127,7 +141,7 @@ Var Sigmoid(Var a) {
 
 Var Tanh(Var a) {
   return UnaryOp("Tanh", a, [](float x) { return std::tanh(x); },
-                 [](float x, float) {
+                 [](float x) {
                    const float th = std::tanh(x);
                    return 1.f - th * th;
                  });
@@ -135,22 +149,22 @@ Var Tanh(Var a) {
 
 Var Relu(Var a) {
   return UnaryOp("Relu", a, [](float x) { return x > 0 ? x : 0.f; },
-                 [](float x, float) { return x > 0 ? 1.f : 0.f; });
+                 [](float x) { return x > 0 ? 1.f : 0.f; });
 }
 
 Var LeakyRelu(Var a, float slope) {
   return UnaryOp("LeakyRelu", a, [slope](float x) { return x > 0 ? x : slope * x; },
-                 [slope](float x, float) { return x > 0 ? 1.f : slope; });
+                 [slope](float x) { return x > 0 ? 1.f : slope; });
 }
 
 Var Exp(Var a) {
   return UnaryOp("Exp", a, [](float x) { return std::exp(x); },
-                 [](float x, float) { return std::exp(x); });
+                 [](float x) { return std::exp(x); });
 }
 
 Var Log(Var a, float eps) {
   return UnaryOp("Log", a, [eps](float x) { return std::log(x + eps); },
-                 [eps](float x, float) { return 1.f / (x + eps); });
+                 [eps](float x) { return 1.f / (x + eps); });
 }
 
 Var Softplus(Var a) {
@@ -159,7 +173,7 @@ Var Softplus(Var a) {
                    // Stable: softplus(x) = max(x,0) + log1p(exp(-|x|)).
                    return std::max(x, 0.f) + std::log1p(std::exp(-std::fabs(x)));
                  },
-                 [](float x, float) {
+                 [](float x) {
                    return x >= 0 ? 1.f / (1.f + std::exp(-x))
                                  : std::exp(x) / (1.f + std::exp(x));
                  });
@@ -167,7 +181,7 @@ Var Softplus(Var a) {
 
 Var Square(Var a) {
   return UnaryOp("Square", a, [](float x) { return x * x; },
-                 [](float x, float) { return 2.f * x; });
+                 [](float x) { return 2.f * x; });
 }
 
 Var Dropout(Var a, float p, Rng* rng) {

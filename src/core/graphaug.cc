@@ -157,7 +157,11 @@ Var GraphAug::BuildLoss(Tape* tape, const TripletBatch& batch) {
 
   const bool timed = obs::Enabled();
   int64_t t0 = timed ? obs::TraceClockNs() : 0;
-  AugmentedViews views = augmenter_->Augment(state);
+  AugmentedViews views;
+  {
+    GA_TRACE_SPAN("augment");
+    views = augmenter_->Augment(state);
+  }
   if (timed) {
     RecordAugmentTiming(augmenter_->name(), "augment",
                         obs::TraceClockNs() - t0);
@@ -168,7 +172,11 @@ Var GraphAug::BuildLoss(Tape* tape, const TripletBatch& batch) {
   // (Alg. 1 lines 6-7) Strategy-owned auxiliary objective (the GIB bounds
   // for "gib", masked-edge reconstruction for "autocf", none otherwise).
   t0 = timed ? obs::TraceClockNs() : 0;
-  Var aux = augmenter_->AuxLoss(state, z_prime, z_dprime);
+  Var aux;
+  {
+    GA_TRACE_SPAN("aux_loss");
+    aux = augmenter_->AuxLoss(state, z_prime, z_dprime);
+  }
   if (timed) {
     RecordAugmentTiming(augmenter_->name(), "aux_loss",
                         obs::TraceClockNs() - t0);

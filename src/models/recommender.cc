@@ -37,6 +37,7 @@ double Recommender::TrainEpoch() {
     }
     tape.Backward(loss);
     if (obs::Enabled()) RecordBatchHealth(batch_loss);
+    GA_TRACE_SPAN("optimizer");
     optimizer_->Step(&store_);
   }
   return batches > 0 ? total_loss / batches : 0.0;

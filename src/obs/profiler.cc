@@ -255,6 +255,14 @@ void EnrollCurrentThread() {
   }
 }
 
+/// Pool workers enroll for sampling at start, and their base tag names
+/// what they do between chunks: waiting for work and synchronising with
+/// the dispatcher. Chunks swap in the dispatcher's tag (EnterChunkTag).
+void WorkerStartHook() {
+  EnrollCurrentThread();
+  t_inherited_tag = "pool_sync";
+}
+
 void WorkerExitHook() {
   if (t_profile != nullptr) {
     ThreadProfile* tp = t_profile;
@@ -286,7 +294,7 @@ void ExitChunkTag(const void* prev) {
 /// thread pool can be built. profiler.o is always part of the link
 /// (obs.cc references ResetProfile), so this runs in every binary.
 [[maybe_unused]] const bool g_hooks_installed = [] {
-  SetWorkerThreadHooks(&EnrollCurrentThread, &WorkerExitHook);
+  SetWorkerThreadHooks(&WorkerStartHook, &WorkerExitHook);
   return true;
 }();
 
@@ -456,11 +464,8 @@ class Symbolizer {
           [](uintptr_t v, const Sym& s) { return v < s.addr; });
       if (it != mod->syms.begin()) {
         const Sym& s = *std::prev(it);
-        // Accept pcs past st_size up to the next symbol: sizes routinely
-        // exclude alignment padding and cold tails.
-        const uintptr_t limit =
-            it != mod->syms.end() ? it->addr : s.addr + (uintptr_t{1} << 20);
-        if (rel < limit) {
+        const uint64_t next = it != mod->syms.end() ? it->addr : 0;
+        if (SymbolCoversPc(s.addr, s.size, next, rel)) {
           const char* raw = s.strtab->c_str() + s.name_off;
           if (raw[0] != '\0') return SanitizeFrameName(DemangleName(raw));
         }
@@ -792,6 +797,19 @@ std::string ProfileJson(int /*top_n*/) {
 }
 
 #endif  // GRAPHAUG_PROFILER_IMPL
+
+bool SymbolCoversPc(uint64_t sym_addr, uint64_t sym_size, uint64_t next_addr,
+                    uint64_t rel) {
+  if (rel < sym_addr) return false;
+  if (sym_size == 0) {
+    const uint64_t limit =
+        next_addr != 0 ? next_addr : sym_addr + (uint64_t{1} << 20);
+    return rel < limit;
+  }
+  constexpr uint64_t kPadding = 16;  // function alignment on x86-64
+  const uint64_t padded = (sym_size + kPadding - 1) & ~(kPadding - 1);
+  return rel - sym_addr < padded;
+}
 
 bool WriteProfileFolded(const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "w");

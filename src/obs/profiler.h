@@ -111,6 +111,18 @@ std::string ProfileJson(int top_n = 30);
 bool WriteProfileFolded(const std::string& path);
 bool WriteProfileJson(const std::string& path, int top_n = 30);
 
+/// The symbolizer's acceptance rule for a nearest-preceding-symbol match
+/// (module-relative addresses). A symbol with st_size > 0 covers
+/// [sym_addr, sym_addr + st_size rounded up to 16 bytes of alignment
+/// padding). One with st_size == 0 covers up to `next_addr`, the next
+/// symbol's address (or 1 MiB when `next_addr` is 0, i.e. there is
+/// none). A pc no symbol covers falls through to dladdr and then to
+/// "[module+0x...]" rather than being charged to an unrelated neighbour
+/// (glibc's unexported memcpy/memset used to show up as
+/// __nss_database_lookup).
+bool SymbolCoversPc(uint64_t sym_addr, uint64_t sym_size, uint64_t next_addr,
+                    uint64_t rel);
+
 }  // namespace graphaug::obs
 
 #endif  // GRAPHAUG_OBS_PROFILER_H_

@@ -9,6 +9,14 @@ namespace graphaug {
 /// Fills `m` with N(mean, stddev) samples.
 void InitNormal(Matrix* m, Rng* rng, float mean = 0.f, float stddev = 0.1f);
 
+/// Fills `m` with N(mean, stddev) samples from the counter-based stream
+/// of `key`: element i is a pure function of (key, i), so the result is
+/// bitwise identical at any thread count and on either kernel table, and
+/// no Rng state is consumed. Used for per-step noise; parameter
+/// initialisation stays on InitNormal.
+void FillNormal(Matrix* m, uint64_t key, float mean = 0.f,
+                float stddev = 1.f);
+
 /// Fills `m` with U(lo, hi) samples.
 void InitUniform(Matrix* m, Rng* rng, float lo = -0.1f, float hi = 0.1f);
 

@@ -24,7 +24,8 @@ namespace graphaug::simd {
 ///    ascending order with separate multiply-then-add rounding (the AVX2
 ///    kernels deliberately avoid FMA contraction), so forced-scalar and
 ///    auto-dispatch runs produce the same bits.
-///  * add/sub/mul/scale/axpy are elementwise and bitwise identical.
+///  * add/sub/mul/scale/axpy and normal_fill are elementwise and
+///    bitwise identical.
 ///  * sum/sqnorm/dot/rowmax/maxabs/exp_sum/exp_scale pin a reduction (or
 ///    polynomial) order *per table*: each table is bitwise deterministic
 ///    at any thread count, but the AVX2 lane-split order and vector exp
@@ -82,6 +83,17 @@ struct KernelTable {
   /// exactly the scalar one-item loop and the GEMM's per-element order.
   void (*score_panels)(const float* q, const float* panels, int64_t d,
                        int64_t n, float* out);
+
+  // ------------------------------ counter-based Gaussian noise (§8, §9)
+  /// out[i - begin] = mean + stddev * z_i for i in [begin, end), where
+  /// z_i ~ N(0, 1) is a pure function of (key, i): Philox-4x32-10 over the
+  /// element's counter feeds a float Box–Muller (Cephes log, quadrant-
+  /// reduced sin/cos polynomials). Any sub-range therefore reproduces the
+  /// matching slice of a full fill. Requires 0 <= begin <= end.
+  /// BITWISE IDENTICAL across tables (exact integer steps, separately
+  /// rounded float ops in one shared order, no FMA).
+  void (*normal_fill)(uint64_t key, int64_t begin, int64_t end, float mean,
+                      float stddev, float* out);
 };
 
 /// Portable baseline table; always valid.

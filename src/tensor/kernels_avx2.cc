@@ -14,7 +14,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "tensor/normal_fill_constants.h"
 
 namespace graphaug::simd {
 namespace {
@@ -406,11 +409,178 @@ void ScorePanelsAvx2(const float* q, const float* panels, int64_t d,
   }
 }
 
+// ---------------------------------------------------------- normal_fill
+// Eight Philox blocks per group, one per lane, then two 8-lane Box–Muller
+// evaluations. Every step is an exact integer operation or a separately
+// rounded IEEE add/mul/sqrt in the scalar table's order, so the output is
+// bitwise the scalar table's (tensor/normal_fill_constants.h has the
+// element layout).
+
+/// 32x32 -> 64-bit products of each lane with m, split into high and low
+/// words (mul_epu32 covers the even lanes; the odd lanes are shifted down).
+inline void MulHiLo(__m256i c, __m256i m, __m256i* hi, __m256i* lo) {
+  const __m256i even = _mm256_mul_epu32(c, m);
+  const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(c, 32), m);
+  *lo = _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+  *hi = _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
+}
+
+inline __m256 PolyStep(__m256 y, __m256 x, float c) {
+  return _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(c));
+}
+
+/// Box–Muller on 8 lanes: (cos sample, sin sample) of (wr, wa), scaled to
+/// mean + stddev * z.
+inline void BoxMuller8(__m256i wr, __m256i wa, __m256 mean, __m256 stddev,
+                       __m256* cos_out, __m256* sin_out) {
+  // Radius: r = sqrt(-2 log u1), Cephes logf.
+  const __m256 u1 = _mm256_mul_ps(
+      _mm256_cvtepi32_ps(_mm256_sub_epi32(_mm256_set1_epi32(normal::kTwo24),
+                                          _mm256_srli_epi32(wr, 8))),
+      _mm256_set1_ps(normal::kInvTwo24));
+  const __m256i bits = _mm256_castps_si256(u1);
+  __m256i e = _mm256_sub_epi32(_mm256_srli_epi32(bits, 23),
+                               _mm256_set1_epi32(126));
+  const __m256 m = _mm256_castsi256_ps(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi32(0x007FFFFF)),
+      _mm256_set1_epi32(0x3F000000)));
+  const __m256 below =
+      _mm256_cmp_ps(m, _mm256_set1_ps(normal::kSqrtHalf), _CMP_LT_OQ);
+  e = _mm256_add_epi32(e, _mm256_castps_si256(below));  // -1 where below
+  __m256 x = _mm256_sub_ps(m, _mm256_set1_ps(1.f));
+  x = _mm256_add_ps(x, _mm256_and_ps(m, below));
+  const __m256 z = _mm256_mul_ps(x, x);
+  __m256 y = _mm256_set1_ps(normal::kLogP[0]);
+  for (int k = 1; k < 9; ++k) y = PolyStep(y, x, normal::kLogP[k]);
+  y = _mm256_mul_ps(_mm256_mul_ps(y, x), z);
+  const __m256 fe = _mm256_cvtepi32_ps(e);
+  y = _mm256_add_ps(y, _mm256_mul_ps(_mm256_set1_ps(normal::kLn2Lo), fe));
+  y = _mm256_add_ps(y, _mm256_mul_ps(_mm256_set1_ps(-0.5f), z));
+  __m256 lg = _mm256_add_ps(x, y);
+  lg = _mm256_add_ps(lg, _mm256_mul_ps(_mm256_set1_ps(normal::kLn2Hi), fe));
+  const __m256 r = _mm256_sqrt_ps(_mm256_mul_ps(lg, _mm256_set1_ps(-2.f)));
+
+  // Angle: quadrant plus residual in [-pi/4, pi/4), Cephes sinf/cosf.
+  const __m256i ma = _mm256_srli_epi32(wa, 8);
+  const __m256i quad = _mm256_srli_epi32(
+      _mm256_add_epi32(ma, _mm256_set1_epi32(normal::kQuadrantHalf)),
+      normal::kQuadrantShift);
+  const __m256 a = _mm256_mul_ps(
+      _mm256_cvtepi32_ps(_mm256_sub_epi32(
+          ma, _mm256_slli_epi32(quad, normal::kQuadrantShift))),
+      _mm256_set1_ps(normal::kAngleStep));
+  const __m256 a2 = _mm256_mul_ps(a, a);
+  __m256 s = _mm256_set1_ps(normal::kSinP[0]);
+  s = PolyStep(s, a2, normal::kSinP[1]);
+  s = PolyStep(s, a2, normal::kSinP[2]);
+  s = _mm256_mul_ps(_mm256_mul_ps(s, a2), a);
+  s = _mm256_add_ps(s, a);
+  __m256 c = _mm256_set1_ps(normal::kCosP[0]);
+  c = PolyStep(c, a2, normal::kCosP[1]);
+  c = PolyStep(c, a2, normal::kCosP[2]);
+  c = _mm256_mul_ps(_mm256_mul_ps(c, a2), a2);
+  c = _mm256_sub_ps(c, _mm256_mul_ps(_mm256_set1_ps(0.5f), a2));
+  c = _mm256_add_ps(c, _mm256_set1_ps(1.f));
+  // Rotate by quad * pi/2 (see the scalar table).
+  const __m256 swap = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+      _mm256_and_si256(quad, _mm256_set1_epi32(1)), _mm256_set1_epi32(1)));
+  const __m256i two = _mm256_set1_epi32(2);
+  const __m256 cos_sign = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_and_si256(_mm256_add_epi32(quad, _mm256_set1_epi32(1)), two),
+      30));
+  const __m256 sin_sign =
+      _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_and_si256(quad, two), 30));
+  const __m256 cb = _mm256_xor_ps(_mm256_blendv_ps(c, s, swap), cos_sign);
+  const __m256 sb = _mm256_xor_ps(_mm256_blendv_ps(s, c, swap), sin_sign);
+  *cos_out = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(r, cb), stddev), mean);
+  *sin_out = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(r, sb), stddev), mean);
+}
+
+/// Writes the 32 * G elements of groups g .. g + G - 1. Several groups in
+/// flight give the out-of-order core independent Philox and polynomial
+/// chains to overlap (4 groups: ~2.7 ns per element on one core, 1 group:
+/// ~3.9 ns).
+template <int G>
+inline void NormalGroupsAvx2(uint32_t k0, uint32_t k1, int64_t g,
+                             __m256 mean, __m256 stddev, float* out) {
+  constexpr int kLanes = normal::kBlocks;
+  alignas(32) uint32_t lo[G][kLanes], hi[G][kLanes];
+  for (int j = 0; j < G; ++j) {
+    for (int t = 0; t < kLanes; ++t) {
+      const uint64_t q = static_cast<uint64_t>(g + j) * kLanes + t;
+      lo[j][t] = static_cast<uint32_t>(q);
+      hi[j][t] = static_cast<uint32_t>(q >> 32);
+    }
+  }
+  __m256i c0[G], c1[G], c2[G], c3[G];
+  for (int j = 0; j < G; ++j) {
+    c0[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lo[j]));
+    c1[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(hi[j]));
+    c2[j] = _mm256_setzero_si256();
+    c3[j] = _mm256_setzero_si256();
+  }
+  const __m256i m0 = _mm256_set1_epi32(static_cast<int>(normal::kPhiloxM0));
+  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(normal::kPhiloxM1));
+  for (int round = 0; round < normal::kPhiloxRounds; ++round) {
+    if (round > 0) {
+      k0 += normal::kPhiloxW0;
+      k1 += normal::kPhiloxW1;
+    }
+    const __m256i vk0 = _mm256_set1_epi32(static_cast<int>(k0));
+    const __m256i vk1 = _mm256_set1_epi32(static_cast<int>(k1));
+    for (int j = 0; j < G; ++j) {
+      __m256i hi0, lo0, hi1, lo1;
+      MulHiLo(c0[j], m0, &hi0, &lo0);
+      MulHiLo(c2[j], m1, &hi1, &lo1);
+      c0[j] = _mm256_xor_si256(_mm256_xor_si256(hi1, c1[j]), vk0);
+      c1[j] = lo1;
+      c2[j] = _mm256_xor_si256(_mm256_xor_si256(hi0, c3[j]), vk1);
+      c3[j] = lo0;
+    }
+  }
+  for (int j = 0; j < G; ++j) {
+    __m256 v0, v1, v2, v3;
+    BoxMuller8(c0[j], c1[j], mean, stddev, &v0, &v1);
+    BoxMuller8(c2[j], c3[j], mean, stddev, &v2, &v3);
+    float* o = out + j * normal::kGroup;
+    _mm256_storeu_ps(o, v0);
+    _mm256_storeu_ps(o + 8, v1);
+    _mm256_storeu_ps(o + 16, v2);
+    _mm256_storeu_ps(o + 24, v3);
+  }
+}
+
+void NormalFillAvx2(uint64_t key, int64_t begin, int64_t end, float mean,
+                    float stddev, float* out) {
+  constexpr int kInterleave = 4;
+  const uint32_t k0 = static_cast<uint32_t>(key);
+  const uint32_t k1 = static_cast<uint32_t>(key >> 32);
+  const __m256 vmean = _mm256_set1_ps(mean);
+  const __m256 vstd = _mm256_set1_ps(stddev);
+  for (int64_t i = begin; i < end;) {
+    const int64_t g = i / normal::kGroup;
+    const int64_t g0 = g * normal::kGroup;
+    if (i == g0 && end - i >= kInterleave * normal::kGroup) {
+      NormalGroupsAvx2<kInterleave>(k0, k1, g, vmean, vstd,
+                                    out + (i - begin));
+      i += kInterleave * normal::kGroup;
+      continue;
+    }
+    // Ragged head or tail: one group through a buffer.
+    const int64_t stop = std::min(end, g0 + normal::kGroup);
+    float buf[normal::kGroup];
+    NormalGroupsAvx2<1>(k0, k1, g, vmean, vstd, buf);
+    std::copy(buf + (i - g0), buf + (stop - g0), out + (i - begin));
+    i = stop;
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",        GemmMicroAvx2, SpmmSegmentAvx2, AddAvx2,
     SubAvx2,       MulAvx2,       ScaleAvx2,       AxpyAvx2,
     SumAvx2,       SqnormAvx2,    DotAvx2,         MaxAbsAvx2,
     RowMaxAvx2,    ExpSumAvx2,    ExpScaleAvx2,    ScorePanelsAvx2,
+    NormalFillAvx2,
 };
 
 }  // namespace

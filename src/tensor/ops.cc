@@ -203,14 +203,6 @@ void Axpy(float s, const Matrix& b, Matrix* a) {
   });
 }
 
-Matrix Map(const Matrix& a, const std::function<float(float)>& fn) {
-  Matrix out(a.rows(), a.cols());
-  ParallelFor(0, a.size(), kElemGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) out[i] = fn(a[i]);
-  });
-  return out;
-}
-
 double SumAll(const Matrix& a) {
   const simd::KernelTable& kt = simd::ActiveKernels();
   return ParallelReduce(0, a.size(), kReduceGrain,

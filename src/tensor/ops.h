@@ -1,8 +1,6 @@
 #ifndef GRAPHAUG_TENSOR_OPS_H_
 #define GRAPHAUG_TENSOR_OPS_H_
 
-#include <functional>
-
 #include "tensor/matrix.h"
 
 namespace graphaug {
@@ -31,9 +29,6 @@ Matrix Scale(const Matrix& a, float s);
 void AddInPlace(Matrix* a, const Matrix& b);
 /// a += s * b (axpy, in place).
 void Axpy(float s, const Matrix& b, Matrix* a);
-
-/// Applies `fn` elementwise, returning a new matrix.
-Matrix Map(const Matrix& a, const std::function<float(float)>& fn);
 
 /// Sum of all elements.
 double SumAll(const Matrix& a);

@@ -445,6 +445,27 @@ TEST_F(ObsTest, SamplingProfilerCapturesNamedFramesAndSpanTags) {
                                       "/obs_test_profile.folded"));
 }
 
+TEST(ProfilerSymbolizerTest, AcceptsOnlyPcsInsideSymbolOrItsPadding) {
+  // A 0x1234-byte symbol at 0x1000 owns [0x1000, 0x2240): its size
+  // rounded up to 16 bytes of alignment padding.
+  EXPECT_TRUE(obs::SymbolCoversPc(0x1000, 0x1234, 0x8000, 0x1000));
+  EXPECT_TRUE(obs::SymbolCoversPc(0x1000, 0x1234, 0x8000, 0x2233));
+  EXPECT_TRUE(obs::SymbolCoversPc(0x1000, 0x1234, 0x8000, 0x2234));  // pad
+  EXPECT_TRUE(obs::SymbolCoversPc(0x1000, 0x1234, 0x8000, 0x223f));  // pad
+  EXPECT_FALSE(obs::SymbolCoversPc(0x1000, 0x1234, 0x8000, 0x2240));
+  EXPECT_FALSE(obs::SymbolCoversPc(0x1000, 0x1234, 0x8000, 0x7fff));
+  EXPECT_FALSE(obs::SymbolCoversPc(0x1000, 0x1234, 0, 0x9000));
+  // A size that is already aligned gets no padding.
+  EXPECT_TRUE(obs::SymbolCoversPc(0x1000, 0x40, 0x8000, 0x103f));
+  EXPECT_FALSE(obs::SymbolCoversPc(0x1000, 0x40, 0x8000, 0x1040));
+  // st_size == 0: up to the next symbol, or 1 MiB past the last one.
+  EXPECT_TRUE(obs::SymbolCoversPc(0x1000, 0, 0x8000, 0x7fff));
+  EXPECT_FALSE(obs::SymbolCoversPc(0x1000, 0, 0x8000, 0x8000));
+  EXPECT_TRUE(obs::SymbolCoversPc(0x1000, 0, 0, 0x1000 + (1 << 20) - 1));
+  EXPECT_FALSE(obs::SymbolCoversPc(0x1000, 0, 0, 0x1000 + (1 << 20)));
+  EXPECT_FALSE(obs::SymbolCoversPc(0x1000, 0x40, 0x8000, 0xfff));
+}
+
 TEST_F(ObsTest, SamplingProfilerSamplesPoolWorkersWithInheritedTags) {
 #if !GRAPHAUG_OBS_ENABLED
   GTEST_SKIP() << "built with GRAPHAUG_NO_OBS";

@@ -1,8 +1,8 @@
 // Tests for the shared parallel runtime (common/parallel.h) and the
 // determinism contract of every parallelized kernel: pool stress, static
 // chunking coverage, and exact bitwise equality of serial vs. parallel
-// Gemm / Spmm / SpmmT / EdgeWeightedSpmm / evaluator outputs at 1, 2, and
-// 7 threads.
+// Gemm / Spmm / SpmmT / EdgeWeightedSpmm / FillNormal / evaluator outputs
+// at 1, 2, and 7 threads.
 
 #include <gtest/gtest.h>
 
@@ -456,6 +456,20 @@ TEST(ParallelKernelsTest, ElementwiseAndReductionsIdentical) {
     EXPECT_EQ(ref_sq, SquaredNorm(a)) << t;
     EXPECT_EQ(ref_max, MaxAbs(a)) << t;
     EXPECT_TRUE(BitwiseEqual(ref_rowsum, RowSum(a))) << t;
+  }
+}
+
+TEST(ParallelKernelsTest, FillNormalIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  // 99,900 elements: a dozen chunks, the last one partial.
+  Matrix ref(300, 333);
+  SetNumThreads(1);
+  FillNormal(&ref, 42, 0.f, 0.1f);
+  for (int t : kThreadCounts) {
+    SetNumThreads(t);
+    Matrix m(300, 333);
+    FillNormal(&m, 42, 0.f, 0.1f);
+    EXPECT_TRUE(BitwiseEqual(ref, m)) << t;
   }
 }
 

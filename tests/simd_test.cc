@@ -1,5 +1,6 @@
 // Tests for the runtime-dispatched SIMD kernel layer (DESIGN.md §9):
-// scalar-vs-AVX2 bitwise parity for GEMM and the sparse row kernels,
+// scalar-vs-AVX2 bitwise parity for GEMM, the sparse row kernels and the
+// counter-based normal sampler,
 // per-table thread-count determinism, vector-exp accuracy, and the
 // probe / force-scalar override machinery.
 
@@ -330,6 +331,26 @@ TEST(KernelTableTest, SpmmSegmentHandlesEmptyAndSingle) {
     }
     if (count == 0) {
       for (float v : out_s) EXPECT_EQ(v, 1.f);  // untouched accumulator
+    }
+  }
+}
+
+TEST(KernelTableTest, NormalFillParityAcrossTables) {
+  const simd::KernelTable& sc = simd::ScalarKernels();
+  const simd::KernelTable* vec = simd::Avx2KernelsOrNull();
+  if (vec == nullptr) GTEST_SKIP() << "no SIMD table in this build";
+  // Odd begins start mid-group; the large begin sets the high word of
+  // the Philox counter.
+  const int64_t begins[] = {0, 1, 5, 31, 32, 33, int64_t{3} << 34};
+  for (int64_t n : {1, 2, 3, 7, 15, 16, 17, 33, 1000}) {
+    for (int64_t b : begins) {
+      std::vector<float> out_s(n), out_v(n);
+      sc.normal_fill(0x9e3779b97f4a7c15ULL, b, b + n, 0.25f, 1.5f,
+                     out_s.data());
+      vec->normal_fill(0x9e3779b97f4a7c15ULL, b, b + n, 0.25f, 1.5f,
+                       out_v.data());
+      EXPECT_EQ(0, std::memcmp(out_s.data(), out_v.data(), n * sizeof(float)))
+          << "n=" << n << " begin=" << b;
     }
   }
 }

@@ -1,13 +1,17 @@
 // Unit tests for the dense tensor substrate: Matrix semantics, all GEMM
 // transpose combinations checked against a reference implementation,
-// elementwise kernels, reductions, and shape utilities.
+// elementwise kernels, reductions, shape utilities, and the moments and
+// sub-range contract of the counter-based normal sampler.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/init.h"
+#include "tensor/kernel_dispatch.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 
@@ -150,6 +154,75 @@ TEST(InitTest, XavierBoundsAndNormalMoments) {
   InitNormal(&n, &rng, 0.f, 0.1f);
   EXPECT_NEAR(MeanAll(n), 0.0, 0.01);
   EXPECT_NEAR(std::sqrt(SquaredNorm(n) / n.size()), 0.1, 0.01);
+}
+
+TEST(FillNormalTest, MomentsAndTailsMatchStandardNormal) {
+  Matrix m(1024, 1024);  // 2^20 draws
+  FillNormal(&m, 0x243f6a8885a308d3ULL, 0.f, 1.f);
+  const double n = static_cast<double>(m.size());
+  double s1 = 0, s2 = 0, s4 = 0;
+  int64_t beyond2 = 0, beyond3 = 0;
+  for (int64_t i = 0; i < m.size(); ++i) {
+    const double z = m[i];
+    ASSERT_TRUE(std::isfinite(z)) << i;
+    s1 += z;
+    s2 += z * z;
+    s4 += z * z * z * z;
+    beyond2 += std::fabs(z) > 2;
+    beyond3 += std::fabs(z) > 3;
+  }
+  // Tolerances are ~5 standard errors at n = 2^20.
+  const double mean = s1 / n;
+  const double var = s2 / n - mean * mean;
+  EXPECT_NEAR(mean, 0.0, 0.005);
+  EXPECT_NEAR(var, 1.0, 0.007);
+  EXPECT_NEAR((s4 / n) / (var * var), 3.0, 0.03);  // kurtosis
+  EXPECT_NEAR(beyond2 / n, 0.0455003, 0.001);
+  EXPECT_NEAR(beyond3 / n, 0.0026998, 0.00025);
+}
+
+TEST(FillNormalTest, KeysAndNeighboursAreUncorrelated) {
+  Matrix a(512, 512), b(512, 512);
+  FillNormal(&a, 1, 0.f, 1.f);
+  FillNormal(&b, 2, 0.f, 1.f);
+  // Correlation of a with b, and of a with itself shifted by 1 (the two
+  // halves of a Box-Muller pair) and by 8 (neighbouring lanes).
+  auto corr = [](const Matrix& x, const Matrix& y, int64_t lag) {
+    double sxy = 0, sxx = 0, syy = 0;
+    for (int64_t i = 0; i + lag < x.size(); ++i) {
+      sxy += static_cast<double>(x[i]) * y[i + lag];
+      sxx += static_cast<double>(x[i]) * x[i];
+      syy += static_cast<double>(y[i + lag]) * y[i + lag];
+    }
+    return sxy / std::sqrt(sxx * syy);
+  };
+  EXPECT_NEAR(corr(a, b, 0), 0.0, 0.01);
+  EXPECT_NEAR(corr(a, a, 1), 0.0, 0.01);
+  EXPECT_NEAR(corr(a, a, 8), 0.0, 0.01);
+}
+
+TEST(FillNormalTest, SubRangesReproduceTheFullFill) {
+  const simd::KernelTable& kt = simd::ActiveKernels();
+  const uint64_t key = 0xb7e151628aed2a6aULL;
+  std::vector<float> full(1000);
+  kt.normal_fill(key, 0, 1000, 0.5f, 2.f, full.data());
+  const int64_t ranges[][2] = {{0, 1},    {1, 2},     {3, 4},     {7, 40},
+                               {31, 33},  {32, 64},   {33, 97},   {101, 102},
+                               {255, 999}, {999, 1000}, {500, 500}};
+  for (const auto& r : ranges) {
+    const int64_t b = r[0], e = r[1];
+    std::vector<float> part(static_cast<size_t>(e - b) + 1, -7.f);
+    kt.normal_fill(key, b, e, 0.5f, 2.f, part.data());
+    EXPECT_EQ(0, std::memcmp(part.data(), full.data() + b,
+                             static_cast<size_t>(e - b) * sizeof(float)))
+        << "[" << b << ", " << e << ")";
+    EXPECT_EQ(part.back(), -7.f) << "wrote past end, [" << b << ", " << e
+                                 << ")";
+  }
+  // FillNormal over a matrix is the same stream.
+  Matrix m(10, 100);
+  FillNormal(&m, key, 0.5f, 2.f);
+  EXPECT_EQ(0, std::memcmp(m.data(), full.data(), 1000 * sizeof(float)));
 }
 
 TEST(OpsTest, AllCloseDetectsDifferences) {
