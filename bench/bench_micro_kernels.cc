@@ -259,10 +259,8 @@ std::vector<KernelCase> BuildKernelCases(bool fast) {
       scalar_twin.force_scalar = true;
       cases.push_back(std::move(scalar_twin));
     }
-    // SpmmT scaling matrix: the auto heuristic plus each variant pinned,
-    // so the JSON records serial/permuted/tiled x thread-count timings
-    // and regressions in any one path are attributable. The legacy
-    // double-indirect gather stays as the baseline the mirror replaced.
+    // SpmmT through the permuted CSC mirror stream, plus its
+    // forced-scalar twin.
     cases.push_back({"spmm_t", shape, work,
                      [adj, h] {
                        Matrix out;
@@ -276,30 +274,6 @@ std::vector<KernelCase> BuildKernelCases(bool fast) {
       scalar_twin.force_scalar = true;
       cases.push_back(std::move(scalar_twin));
     }
-    cases.push_back({"spmm_t_gather", shape, work,
-                     [adj, h] {
-                       Matrix out;
-                       adj->matrix.SpmmT(*h, &out, /*accumulate=*/false,
-                                         SpmmTVariant::kGather);
-                       return out;
-                     },
-                     "", sparse_bytes});
-    cases.push_back({"spmm_t_permuted", shape, work,
-                     [adj, h] {
-                       Matrix out;
-                       adj->matrix.SpmmT(*h, &out, /*accumulate=*/false,
-                                         SpmmTVariant::kPermuted);
-                       return out;
-                     },
-                     "", sparse_bytes});
-    cases.push_back({"spmm_t_tiled", shape, work,
-                     [adj, h] {
-                       Matrix out;
-                       adj->matrix.SpmmT(*h, &out, /*accumulate=*/false,
-                                         SpmmTVariant::kTiled);
-                       return out;
-                     },
-                     "", sparse_bytes});
 
     // Adjacency power A^3 x through the warm-mirror cache — the mixhop
     // encoder's per-layer propagation pattern.

@@ -1,4 +1,4 @@
-// Reproduces Table II: overall recommendation performance of all 18
+// Reproduces Table II: overall recommendation performance of all 19
 // models on the three datasets (Recall@20/40, NDCG@20/40), plus the
 // significance row (Welch t-test between GraphAug and the best baseline
 // over repeated seeded runs on each dataset).

@@ -1,5 +1,5 @@
 // Scenario: model selection for a new recommendation workload. This
-// example runs any subset of the library's 18 recommenders on a chosen
+// example runs any subset of the library's 19 recommenders on a chosen
 // dataset preset and prints a leaderboard — the typical "which model
 // family fits my data" experiment.
 //

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "obs/autograd_profiler.h"
+#include "obs/scope.h"
 #include "tensor/kernel_dispatch.h"
 #include "tensor/ops.h"
 

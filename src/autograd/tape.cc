@@ -1,7 +1,6 @@
 #include "autograd/tape.h"
 
-#include "obs/autograd_profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "tensor/ops.h"
 
 namespace graphaug {
@@ -12,7 +11,7 @@ Var Tape::Emit(Matrix value, bool needs_grad,
   node.value = std::move(value);
   node.backward = std::move(backward);
 #if GRAPHAUG_OBS_ENABLED
-  node.op = obs::ScopedOp::Current();
+  if (const obs::Scope* scope = obs::Scope::Current()) node.op = scope->op();
 #endif
   node.needs_grad = needs_grad;
   nodes_.push_back(std::move(node));
@@ -38,21 +37,15 @@ void Tape::Backward(Var root) {
   GA_CHECK_EQ(ValueOf(root.id()).size(), 1) << "Backward root must be scalar";
   GA_TRACE_SPAN("backward");
   AccumulateGrad(root.id(), Matrix(1, 1, 1.f));
-  // When profiling, time each node's backward closure under the op name
-  // captured at Emit time. The guard is hoisted so an unprofiled run pays
-  // only one branch per node.
-  const bool profile = obs::Enabled();
   for (int id = root.id(); id >= 0; --id) {
     Node& node = nodes_[static_cast<size_t>(id)];
     if (!node.has_grad || !node.needs_grad || !node.backward) continue;
-    if (profile && node.op != nullptr) {
-      const int64_t t0 = obs::TraceClockNs();
-      node.backward(this, node.grad);
-      obs::AutogradProfiler::Get().RecordBackward(node.op,
-                                                  obs::TraceClockNs() - t0);
-    } else {
-      node.backward(this, node.grad);
-    }
+#if GRAPHAUG_OBS_ENABLED
+    // Charges the closure's time, allocations and samples to the op that
+    // emitted the node; opens nothing for op-less nodes (leaves).
+    obs::Scope scope(node.op, obs::ScopeKind::kBackward);
+#endif
+    node.backward(this, node.grad);
   }
 }
 

@@ -98,9 +98,9 @@ class Tape {
     Matrix value;
     Matrix grad;  // lazily allocated
     std::function<void(Tape*, const Matrix&)> backward;
-    /// Op type that emitted this node (string literal published by the
-    /// op's obs::ScopedOp), for backward-pass attribution. Nullptr when
-    /// emitted outside any op scope.
+    /// Op type that emitted this node (the innermost op scope's name,
+    /// obs/scope.h), for backward-pass attribution. Nullptr when emitted
+    /// outside any op scope.
     const char* op = nullptr;
     bool needs_grad = false;
     bool has_grad = false;

@@ -139,10 +139,9 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   g_stat_pool_chunks.fetch_add((n + grain - 1) / grain,
                                std::memory_order_relaxed);
   // Optional per-chunk wrappers, both observation-only (they never
-  // change the chunk walk or results): tag forwarding for the sampling
-  // profiler and busy/wall timing for the obs layer. The serial path
-  // above needs neither — the caller's own thread-local tag is already
-  // in scope there.
+  // change the chunk walk or results): scope forwarding and busy/wall
+  // timing for the obs layer. The serial path above needs neither — the
+  // caller's own scope is already current there.
   const void* (*tag_capture)() = g_tag_capture.load(std::memory_order_relaxed);
   const void* (*tag_enter)(const void*) =
       g_tag_enter.load(std::memory_order_relaxed);

@@ -67,10 +67,11 @@ void SetWorkerThreadHooks(void (*on_start)(), void (*on_exit)());
 /// `capture` runs once on the dispatching thread per pool region;
 /// `enter` runs on the executing thread around every chunk with the
 /// captured token and returns the value to restore; `exit` restores it.
-/// The sampling profiler uses this to attribute worker-thread samples
-/// to the dispatching thread's active trace span / autograd op. All
-/// three callbacks must be cheap, non-blocking, and must not issue
-/// parallel regions; observation never changes chunking or results.
+/// The obs layer (obs/scope.h) uses this to run every chunk under the
+/// dispatching thread's innermost scope, so profiler samples and
+/// allocations on workers carry its tag. All three callbacks must be
+/// cheap, non-blocking, and must not issue parallel regions; observation
+/// never changes chunking or results.
 struct ParallelTagObserver {
   const void* (*capture)() = nullptr;
   const void* (*enter)(const void* token) = nullptr;

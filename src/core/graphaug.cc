@@ -5,6 +5,7 @@
 #include "models/debias.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/scope.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 

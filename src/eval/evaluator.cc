@@ -6,7 +6,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "retrieval/topk.h"
 #include "tensor/ops.h"
 

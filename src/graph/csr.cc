@@ -4,7 +4,7 @@
 #include <mutex>
 
 #include "common/parallel.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "tensor/kernel_dispatch.h"
 
 namespace graphaug {
@@ -33,36 +33,6 @@ int64_t SpmmTGrain(int64_t rows, int64_t nnz, int64_t dense_cols) {
   return std::max<int64_t>(1, (int64_t{256} << 10) / per_row);
 }
 
-/// Source-row tile for SpmmTVariant::kTiled, sized so one tile of gathered
-/// dense rows (tile_rows x d floats) occupies ~128KB — small enough to
-/// stay resident in L2 next to the output chunk being accumulated.
-constexpr int64_t kTileBytes = int64_t{128} << 10;
-
-/// kAuto switches to the tiled gather once the dense operand being
-/// gathered exceeds ~4MB — past any private cache, the regime where the
-/// untiled random row gather pays a memory round-trip per nonzero.
-constexpr int64_t kTiledMinDenseBytes = int64_t{4} << 20;
-
-SpmmTVariant ResolveVariant(SpmmTVariant variant, int64_t out_rows,
-                            int64_t nnz, int64_t dense_rows,
-                            int64_t dense_cols) {
-  if (variant != SpmmTVariant::kAuto) return variant;
-  const int64_t dense_bytes =
-      dense_rows * dense_cols * static_cast<int64_t>(sizeof(float));
-  if (dense_bytes <= kTiledMinDenseBytes) return SpmmTVariant::kPermuted;
-  // Tiling adds a cursor sweep of every output row per tile. That
-  // bookkeeping (out_rows x num_tiles probes) only amortizes when the
-  // useful work per output row — avg nnz/row x d multiply-adds — clearly
-  // exceeds the number of tiles; on very sparse patterns (a handful of
-  // nonzeros per row against hundreds of tiles) the sweep dominates and
-  // the plain permuted stream wins despite the cache misses.
-  const int64_t num_tiles = (dense_bytes + kTileBytes - 1) / kTileBytes;
-  const int64_t madds_per_row =
-      (nnz / std::max<int64_t>(1, out_rows)) * std::max<int64_t>(1, dense_cols);
-  return madds_per_row >= 4 * num_tiles ? SpmmTVariant::kTiled
-                                        : SpmmTVariant::kPermuted;
-}
-
 }  // namespace
 
 std::vector<float> CscMirror::PermuteValues(
@@ -75,61 +45,24 @@ std::vector<float> CscMirror::PermuteValues(
 }
 
 void CscMirrorSpmm(const CscMirror& mirror, const float* pv,
-                   const Matrix& dense, Matrix* out, SpmmTVariant variant) {
+                   const Matrix& dense, Matrix* out) {
   const int64_t m_rows = static_cast<int64_t>(mirror.col_ptr.size()) - 1;
   const int64_t d = dense.cols();
   GA_CHECK_EQ(out->rows(), m_rows);
   GA_CHECK_EQ(out->cols(), d);
-  variant = ResolveVariant(variant, m_rows, mirror.nnz(), dense.rows(), d);
-  const int64_t grain = SpmmTGrain(m_rows, mirror.nnz(), d);
   const simd::KernelTable& kt = simd::ActiveKernels();
-  if (variant != SpmmTVariant::kTiled) {
-    // kPermuted (and kGather callers pre-permute pv): stream the
-    // contiguous mirror values, gather dense rows directly. Each output
-    // row is one spmm_segment call — the dispatch table's row kernel.
-    ParallelFor(0, m_rows, grain, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const int64_t k0 = mirror.col_ptr[r];
-        kt.spmm_segment(pv + k0, mirror.row_idx.data() + k0,
-                        mirror.col_ptr[r + 1] - k0, dense.data(), d,
-                        out->row(r));
-      }
-    });
-    return;
-  }
-  // kTiled: sweep source (dense) rows tile by tile so the gathered rows
-  // stay cache-resident; each output row advances a cursor through its
-  // (ascending-source-row) nonzeros, so the per-row accumulation order —
-  // and therefore the result — is bit-for-bit the same as the untiled
-  // stream.
-  const int64_t tile_rows =
-      std::max<int64_t>(1, kTileBytes / (std::max<int64_t>(1, d) *
-                                         static_cast<int64_t>(sizeof(float))));
-  const int64_t src_rows = dense.rows();
-  ParallelFor(0, m_rows, grain, [&](int64_t r0, int64_t r1) {
-    std::vector<int64_t> cursor(static_cast<size_t>(r1 - r0));
-    for (int64_t r = r0; r < r1; ++r) {
-      cursor[static_cast<size_t>(r - r0)] = mirror.col_ptr[r];
-    }
-    for (int64_t t0 = 0; t0 < src_rows; t0 += tile_rows) {
-      const int32_t t1 = static_cast<int32_t>(
-          std::min<int64_t>(src_rows, t0 + tile_rows));
-      for (int64_t r = r0; r < r1; ++r) {
-        const int64_t k0 = cursor[static_cast<size_t>(r - r0)];
-        const int64_t kend = mirror.col_ptr[r + 1];
-        if (k0 >= kend || mirror.row_idx[k0] >= t1) continue;
-        // Scan ahead to the end of this tile's nonzero run, then hand the
-        // whole contiguous segment to the row kernel in one call. The
-        // per-element order is unchanged, so tiling stays bitwise
-        // identical to the untiled stream.
-        int64_t k = k0;
-        while (k < kend && mirror.row_idx[k] < t1) ++k;
-        kt.spmm_segment(pv + k0, mirror.row_idx.data() + k0, k - k0,
-                        dense.data(), d, out->row(r));
-        cursor[static_cast<size_t>(r - r0)] = k;
-      }
-    }
-  });
+  // Stream the contiguous mirror values and gather dense rows directly:
+  // each output row is one spmm_segment call, the dispatch table's row
+  // kernel.
+  ParallelFor(0, m_rows, SpmmTGrain(m_rows, mirror.nnz(), d),
+              [&](int64_t r0, int64_t r1) {
+                for (int64_t r = r0; r < r1; ++r) {
+                  const int64_t k0 = mirror.col_ptr[r];
+                  kt.spmm_segment(pv + k0, mirror.row_idx.data() + k0,
+                                  mirror.col_ptr[r + 1] - k0, dense.data(), d,
+                                  out->row(r));
+                }
+              });
 }
 
 CsrMatrix CsrMatrix::FromCoo(int64_t rows, int64_t cols,
@@ -252,34 +185,14 @@ const std::vector<float>& CsrMatrix::MirrorValues() const {
   return *mirror_values_cache_;
 }
 
-void CsrMatrix::SpmmT(const Matrix& dense, Matrix* out, bool accumulate,
-                      SpmmTVariant variant) const {
+void CsrMatrix::SpmmT(const Matrix& dense, Matrix* out,
+                      bool accumulate) const {
   GA_TRACE_SPAN("spmm_t");
   GA_CHECK_EQ(dense.rows(), rows_);
   if (!accumulate || out->rows() != cols_ || out->cols() != dense.cols()) {
     *out = Matrix(cols_, dense.cols());
   }
-  const CscMirror& mir = Mirror();
-  if (variant == SpmmTVariant::kGather) {
-    // Legacy reference kernel: no materialized values, double-indirect
-    // gather values_[src[k]]. Same per-row accumulation order, so still
-    // bitwise identical to the streamed variants.
-    const int64_t d = dense.cols();
-    ParallelFor(0, cols_, SpmmTGrain(cols_, nnz(), d),
-                [&](int64_t r0, int64_t r1) {
-                  for (int64_t r = r0; r < r1; ++r) {
-                    float* orow = out->row(r);
-                    for (int64_t k = mir.col_ptr[r]; k < mir.col_ptr[r + 1];
-                         ++k) {
-                      const float v = values_[mir.src[k]];
-                      const float* drow = dense.row(mir.row_idx[k]);
-                      for (int64_t c = 0; c < d; ++c) orow[c] += v * drow[c];
-                    }
-                  }
-                });
-    return;
-  }
-  CscMirrorSpmm(mir, MirrorValues().data(), dense, out, variant);
+  CscMirrorSpmm(Mirror(), MirrorValues().data(), dense, out);
 }
 
 CsrMatrix CsrMatrix::Transpose() const {

@@ -26,7 +26,7 @@ struct CooEntry {
 /// (values in mirror order) so the inner loop pays one indirection — the
 /// dense-row gather — instead of two. The ascending-original-row order
 /// per mirror row reproduces the serial scatter's accumulation order
-/// exactly, which is what keeps every variant bitwise identical.
+/// exactly, which is what keeps the product bitwise identical to it.
 struct CscMirror {
   std::vector<int64_t> col_ptr;  ///< size cols+1
   std::vector<int32_t> row_idx;  ///< original row of each nonzero
@@ -39,36 +39,15 @@ struct CscMirror {
   std::vector<float> PermuteValues(const std::vector<float>& values) const;
 };
 
-/// Kernel selection for transposed sparse-dense products. Every variant
-/// produces bitwise-identical output (same per-row accumulation order);
-/// they differ only in memory-access strategy.
-enum class SpmmTVariant {
-  /// Heuristic: kTiled when the gathered dense operand is far larger than
-  /// cache (the bandwidth-bound regime), kPermuted otherwise.
-  kAuto,
-  /// Streams the permuted contiguous mirror values; gathers dense rows
-  /// directly. One level of indirection.
-  kPermuted,
-  /// kPermuted plus a source-row-tiled gather: dense rows are visited
-  /// tile by tile so the gathered working set stays cache-resident;
-  /// per-output-row cursors preserve the exact accumulation order.
-  kTiled,
-  /// Legacy double-indirect gather (values[src[k]], no materialized
-  /// mirror values). Kept as the benchmark reference point.
-  kGather,
-};
-
 /// Shared transposed-product kernel: out->row(j) += pv[k] * dense.row(
 /// row_idx[k]) for k in [col_ptr[j], col_ptr[j+1]), where `pv` holds nnz
 /// values already in mirror (permuted) order. `out` must be pre-sized to
 /// (mirror rows x dense.cols()); existing contents are accumulated into.
 /// Row-parallel over the shared runtime; bitwise deterministic at any
-/// thread count and across the kPermuted/kTiled variants (kAuto resolves
-/// to one of them). Also used by the edge-weighted SpMM backward, whose
+/// thread count. Also used by the edge-weighted SpMM backward, whose
 /// gradient merge streams sampled edge values through the same mirror.
 void CscMirrorSpmm(const CscMirror& mirror, const float* pv,
-                   const Matrix& dense, Matrix* out,
-                   SpmmTVariant variant = SpmmTVariant::kAuto);
+                   const Matrix& dense, Matrix* out);
 
 /// Compressed-sparse-row float matrix. The pattern is immutable after
 /// construction; the value array may be swapped out (see WithValues) or
@@ -114,10 +93,8 @@ class CsrMatrix {
 
   /// Transposed sparse-dense product: out = this^T * dense. Streams the
   /// materialized CSC mirror (built and cached on first use), bitwise
-  /// identical to the serial scatter formulation at any thread count and
-  /// for every variant.
-  void SpmmT(const Matrix& dense, Matrix* out, bool accumulate = false,
-             SpmmTVariant variant = SpmmTVariant::kAuto) const;
+  /// identical to the serial scatter formulation at any thread count.
+  void SpmmT(const Matrix& dense, Matrix* out, bool accumulate = false) const;
 
   /// Lazily built, thread-safe CSC mirror pattern; shared by all
   /// value-copies of this matrix (the pattern is immutable after

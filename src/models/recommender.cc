@@ -37,8 +37,12 @@ double Recommender::TrainEpoch() {
     }
     tape.Backward(loss);
     if (obs::Enabled()) RecordBatchHealth(batch_loss);
-    GA_TRACE_SPAN("optimizer");
-    optimizer_->Step(&store_);
+    {
+      GA_TRACE_SPAN("optimizer");
+      optimizer_->Step(&store_);
+    }
+    GA_TRACE_SPAN("tape_release");
+    tape.Reset();
   }
   return batches > 0 ? total_loss / batches : 0.0;
 }

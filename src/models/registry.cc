@@ -53,9 +53,9 @@ std::unique_ptr<Recommender> CreateModel(const std::string& name,
 }
 
 std::vector<std::string> AllModelNames() {
-  return {"NCF",   "AutoR",   "GCMC",  "PinSage", "NGCF",  "LightGCN",
-          "GCCF",  "DisenGCN","DGCF",  "MHCN",    "STGCN", "SLRec",
-          "SGL",   "DGCL",    "HCCF",  "CGI",     "NCL",   "GraphAug"};
+  return {"BiasMF", "NCF",  "AutoR",    "GCMC", "PinSage", "NGCF", "LightGCN",
+          "GCCF",   "DisenGCN", "DGCF", "MHCN", "STGCN",   "SLRec", "SGL",
+          "DGCL",   "HCCF", "CGI",      "NCL",  "GraphAug"};
 }
 
 std::unique_ptr<GraphAugmenter> CreateAugmenter(const std::string& name,

@@ -5,14 +5,8 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace graphaug::obs {
-namespace {
-
-thread_local const char* t_current_op = nullptr;
-
-}  // namespace
 
 AutogradProfiler& AutogradProfiler::Get() {
   static AutogradProfiler* profiler = new AutogradProfiler();
@@ -82,21 +76,5 @@ void AutogradProfiler::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.clear();
 }
-
-ScopedOp::ScopedOp(const char* op, double flops, double bytes)
-    : op_(op), prev_(t_current_op), flops_(flops), bytes_(bytes) {
-  t_current_op = op_;
-  if (Enabled()) start_ns_ = TraceClockNs();
-}
-
-ScopedOp::~ScopedOp() {
-  t_current_op = prev_;
-  if (start_ns_ >= 0) {
-    AutogradProfiler::Get().RecordForward(op_, TraceClockNs() - start_ns_,
-                                          flops_, bytes_);
-  }
-}
-
-const char* ScopedOp::Current() { return t_current_op; }
 
 }  // namespace graphaug::obs

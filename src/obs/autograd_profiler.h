@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/table.h"
-#include "obs/config.h"
 
 namespace graphaug::obs {
 
@@ -22,10 +21,11 @@ struct OpStats {
 };
 
 /// Per-op-type forward/backward cost accumulator for the tape autograd.
-/// Forward timing comes from ScopedOp instances placed in the primitive
-/// ops (autograd/ops.cc); backward timing comes from Tape::Backward,
-/// which times each node's backward closure under the op name captured at
-/// Emit time. All recording is gated on obs::Enabled() by the callers.
+/// Forward timing comes from the op scopes (GA_AG_OP, obs/scope.h) placed
+/// in the primitive ops (autograd/ops.cc); backward timing comes from the
+/// backward scope Tape::Backward opens around each node's closure, named
+/// after the op captured at Emit time. Scopes record only while
+/// obs::Enabled().
 class AutogradProfiler {
  public:
   static AutogradProfiler& Get();
@@ -51,44 +51,6 @@ class AutogradProfiler {
   std::map<std::string, OpStats> stats_;
 };
 
-/// RAII forward-op scope used by the primitive ops. Publishes the op name
-/// to a thread-local slot (read by Tape::Emit to label nodes for backward
-/// attribution) and, when obs::Enabled(), times the enclosed forward
-/// computation. Scopes nest; the previous name is restored on exit, and
-/// only primitive ops (not composites such as BprLoss) install scopes, so
-/// forward time is never double-counted.
-class ScopedOp {
- public:
-  explicit ScopedOp(const char* op, double flops = 0, double bytes = 0);
-  ~ScopedOp();
-
-  ScopedOp(const ScopedOp&) = delete;
-  ScopedOp& operator=(const ScopedOp&) = delete;
-
-  /// Name installed by the innermost live ScopedOp on this thread, or
-  /// nullptr outside any op.
-  static const char* Current();
-
- private:
-  const char* op_ = nullptr;
-  const char* prev_ = nullptr;
-  int64_t start_ns_ = -1;
-  double flops_ = 0;
-  double bytes_ = 0;
-};
-
 }  // namespace graphaug::obs
-
-/// Op-entry macro for autograd primitives:
-///   GA_AG_OP("MatMul", flop_estimate, byte_estimate);
-/// Compiles to nothing under GRAPHAUG_NO_OBS (arguments unevaluated).
-#if GRAPHAUG_OBS_ENABLED
-#define GA_AG_OP(name, flops, bytes) \
-  ::graphaug::obs::ScopedOp ga_ag_op_scope_(name, flops, bytes)
-#else
-#define GA_AG_OP(name, flops, bytes) \
-  do {                               \
-  } while (0)
-#endif
 
 #endif  // GRAPHAUG_OBS_AUTOGRAD_PROFILER_H_

@@ -15,9 +15,8 @@
 #include <unistd.h>
 #endif
 
-#include "obs/autograd_profiler.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace graphaug::obs {
 namespace {
@@ -38,16 +37,6 @@ TagTable& GetTagTable() {
   return *t;
 }
 
-#if GRAPHAUG_OBS_ENABLED
-/// Innermost attribution label on this thread: autograd op first (finer
-/// grained during training), then the enclosing trace span.
-const char* CurrentTag() {
-  if (const char* op = ScopedOp::Current()) return op;
-  if (const char* span = CurrentTraceSpanName()) return span;
-  return "(untagged)";
-}
-#endif
-
 }  // namespace
 
 #if GRAPHAUG_OBS_ENABLED
@@ -63,7 +52,8 @@ void RecordAlloc(size_t bytes) {
   if (Enabled()) {
     TagTable& table = GetTagTable();
     std::lock_guard<std::mutex> lock(table.mu);
-    MemoryTagStats& s = table.tags[CurrentTag()];
+    const char* tag = CurrentTag();
+    MemoryTagStats& s = table.tags[tag != nullptr ? tag : "(untagged)"];
     s.bytes += b;
     s.count += 1;
   }

@@ -12,8 +12,9 @@
 ///    memory" claims: live bytes must return to baseline when a scope's
 ///    tensors die, and PeakBytes() bounds the working set.
 ///  * Tag attribution (gated on obs::Enabled()): allocations are charged
-///    to the innermost autograd op (obs::ScopedOp) or trace span on the
-///    calling thread, so the per-op table shows who allocates.
+///    to the calling thread's innermost scope tag (obs/scope.h: the
+///    innermost autograd op, forward or backward, else the innermost
+///    span), so the per-op table shows who allocates.
 ///  * Process RSS (os-level truth): CurrentRssBytes/PeakRssBytes read
 ///    /proc + getrusage, and RssSampler polls RSS on a background thread
 ///    so short-lived spikes between epoch boundaries are still seen.
@@ -37,7 +38,7 @@ namespace graphaug::obs {
 
 #if GRAPHAUG_OBS_ENABLED
 /// Charges `bytes` to the global accounting (and, when obs::Enabled(),
-/// to the calling thread's innermost op/span tag).
+/// to the calling thread's scope tag).
 void RecordAlloc(size_t bytes);
 /// Releases `bytes` from the live count.
 void RecordFree(size_t bytes);
@@ -67,7 +68,7 @@ struct MemoryTagStats {
 };
 
 /// Snapshot of the per-tag attribution table (tag -> bytes/count).
-/// Allocations outside any op/span are charged to "(untagged)". Only
+/// Allocations outside any scope are charged to "(untagged)". Only
 /// populated while obs::Enabled().
 std::map<std::string, MemoryTagStats> MemoryTagSnapshot();
 

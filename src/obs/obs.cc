@@ -17,8 +17,10 @@ bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void SetEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
-  // Busy/wall timing in the parallel runtime rides the master switch.
+  // Busy/wall timing in the parallel runtime rides the master switch,
+  // and so does forwarding scopes into pool-worker chunks.
   SetParallelStatsEnabled(enabled);
+  UpdateScopeForwarding();
 }
 #endif
 
@@ -116,7 +118,9 @@ std::string AsciiReport() {
     os << "Profiler: " << prof.samples << " samples @ " << ProfilerHz()
        << " Hz across " << prof.threads << " threads ("
        << prof.distinct_stacks << " stacks, " << prof.lost << " lost, "
-       << FormatDouble(100.0 * prof.attributed_frac, 1) << "% attributed)\n";
+       << FormatDouble(100.0 * prof.span_covered_frac, 1) << "% in a scope, "
+       << FormatDouble(100.0 * prof.attributed_frac, 1)
+       << "% with a symbolized leaf)\n";
   } else if (ProfilerProbeFailed()) {
     os << "Profiler: unavailable (per-thread timers/signals denied)\n";
   }

@@ -31,6 +31,7 @@
 #include "obs/perf_counters.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
+#include "obs/scope.h"
 #include "obs/trace.h"
 
 namespace graphaug::obs {

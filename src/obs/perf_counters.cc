@@ -157,41 +157,25 @@ PerfCounts PerfCounterGroup::End() {
 
 namespace {
 
-#if GRAPHAUG_OBS_ENABLED
-/// Per-thread reusable group for ScopedPerfRegion, plus a depth guard so
-/// nested regions don't double-count.
+/// Per-thread reusable group for region scopes (obs::Scope, kind
+/// kRegion). The no-nesting rule lives in the scope chain.
 thread_local PerfCounterGroup t_region_group;
-thread_local bool t_region_active = false;
-#endif
 
 }  // namespace
 
-ScopedPerfRegion::ScopedPerfRegion(const char* name) {
-#if GRAPHAUG_OBS_ENABLED
-  if (!Enabled() || t_region_active) return;
-  if (!t_region_group.Begin()) return;
-  t_region_active = true;
-  name_ = name;
-#else
-  (void)name;
-#endif
-}
+bool BeginRegionCounters() { return t_region_group.Begin(); }
 
-ScopedPerfRegion::~ScopedPerfRegion() {
-#if GRAPHAUG_OBS_ENABLED
-  if (name_ == nullptr) return;
+void EndRegionCounters(const char* name) {
   const PerfCounts counts = t_region_group.End();
-  t_region_active = false;
   if (!counts.valid) return;
   RegionTable& table = GetRegionTable();
   std::lock_guard<std::mutex> lock(table.mu);
-  auto it = table.regions.find(name_);
+  auto it = table.regions.find(name);
   if (it == table.regions.end()) {
-    table.regions.emplace(name_, counts);
+    table.regions.emplace(name, counts);
   } else {
     it->second += counts;
   }
-#endif
 }
 
 std::map<std::string, PerfCounts> PerfRegionSnapshot() {

@@ -88,8 +88,8 @@ class PerfCounterGroup {
   int fds_[5] = {-1, -1, -1, -1, -1};
 };
 
-/// Accumulated perf totals per named region (ScopedPerfRegion below),
-/// e.g. {"epoch": {...}, "eval": {...}}.
+/// Accumulated perf totals per named region (GA_PERF_REGION scopes, see
+/// obs/scope.h), e.g. {"epoch": {...}, "eval": {...}}.
 std::map<std::string, PerfCounts> PerfRegionSnapshot();
 
 /// Clears the per-region accumulator (part of obs::ResetAll).
@@ -99,37 +99,12 @@ void ResetPerfRegions();
 /// "ipc": ..., "cache_miss_rate": ...}, ...}}.
 std::string PerfJson();
 
-/// RAII region: accumulates this thread's counter deltas under `name`
-/// (a string literal) into the region table. Cheap no-op when perf is
-/// unavailable or instrumentation is off. Regions must not nest on one
-/// thread — the inner region would double-count; nesting is ignored
-/// (the inner scope records nothing).
-class ScopedPerfRegion {
- public:
-  explicit ScopedPerfRegion(const char* name);
-  ~ScopedPerfRegion();
-
-  ScopedPerfRegion(const ScopedPerfRegion&) = delete;
-  ScopedPerfRegion& operator=(const ScopedPerfRegion&) = delete;
-
- private:
-  const char* name_ = nullptr;  ///< non-null only when counting
-};
+/// Region-scope internals: start this thread's region counter group
+/// (false, cheaply, when perf is unavailable), and stop it, adding the
+/// deltas to the region table under `name`.
+bool BeginRegionCounters();
+void EndRegionCounters(const char* name);
 
 }  // namespace graphaug::obs
-
-/// Scoped perf-counter region macro, compiled out under GRAPHAUG_NO_OBS:
-///   GA_PERF_REGION("epoch");
-#if GRAPHAUG_OBS_ENABLED
-#define GA_PERF_REGION_CONCAT2(a, b) a##b
-#define GA_PERF_REGION_CONCAT(a, b) GA_PERF_REGION_CONCAT2(a, b)
-#define GA_PERF_REGION(name)                    \
-  ::graphaug::obs::ScopedPerfRegion GA_PERF_REGION_CONCAT(ga_perf_region_, \
-                                                          __LINE__)(name)
-#else
-#define GA_PERF_REGION(name) \
-  do {                       \
-  } while (0)
-#endif
 
 #endif  // GRAPHAUG_OBS_PERF_COUNTERS_H_

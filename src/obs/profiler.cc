@@ -12,9 +12,8 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "obs/autograd_profiler.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 // The sampling implementation needs POSIX per-thread timers, SIGPROF
 // delivery to a chosen tid, and glibc's backtrace(). Everywhere else
@@ -36,6 +35,7 @@
 #include <signal.h>
 #include <sys/syscall.h>
 #include <time.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 // Pre-2.35 glibc spells the sigevent target-thread field only through
@@ -58,8 +58,12 @@ namespace {
 /// main) are discarded; the leaf side is always kept.
 constexpr int kMaxDepth = 40;
 /// Frames the handler discards from the raw capture: the handler itself
-/// and the kernel signal trampoline (__restore_rt).
+/// and the kernel signal trampoline (__restore_rt). A runtime that wraps
+/// signal handlers (the sanitizers do) adds frames; the interrupted pc
+/// from the signal context then finds the real leaf among the first
+/// kMaxSkipFrames.
 constexpr int kSkipFrames = 2;
+constexpr int kMaxSkipFrames = 6;
 /// Per-thread open-addressed stack table (power of two). Distinct
 /// (stack, tag) keys per thread rarely exceed a few hundred; overflow is
 /// counted as lost, never blocks.
@@ -118,13 +122,22 @@ std::atomic<int> g_hz{0};
 /// safe once EnrollCurrentThread has touched it.
 thread_local ThreadProfile* t_profile = nullptr;
 
-/// Span/op tag inherited from the thread that dispatched the current
-/// parallel region (pool workers run kernel chunks outside the
-/// dispatcher's TraceSpan scope, so the tag is forwarded explicitly).
-thread_local const char* t_inherited_tag = nullptr;
+/// Program counter the signal interrupted, or nullptr where the context
+/// layout is unknown.
+void* InterruptedPc(void* ucontext) {
+  const auto* uc = static_cast<const ucontext_t*>(ucontext);
+#if defined(__x86_64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.gregs[REG_RIP]);
+#elif defined(__aarch64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.pc);
+#else
+  (void)uc;
+  return nullptr;
+#endif
+}
 
 void ProfilerSignalHandler(int /*signo*/, siginfo_t* /*info*/,
-                           void* /*ucontext*/) {
+                           void* ucontext) {
   // Async-signal-safe: own-thread TLS reads, backtrace() (pre-warmed at
   // StartProfiler), fixed-size table writes. errno is preserved because
   // the interrupted code may be between a syscall and its errno check.
@@ -133,20 +146,26 @@ void ProfilerSignalHandler(int /*signo*/, siginfo_t* /*info*/,
   SampleSlot* slots =
       tp != nullptr ? tp->slots.load(std::memory_order_acquire) : nullptr;
   if (slots != nullptr && g_running.load(std::memory_order_relaxed)) {
-    void* frames[kMaxDepth + kSkipFrames + 2];
-    const int captured = backtrace(frames, kMaxDepth + kSkipFrames);
+    void* frames[kMaxDepth + kMaxSkipFrames];
+    const int captured = backtrace(frames, kMaxDepth + kMaxSkipFrames);
+    int skip = kSkipFrames;
+    if (void* pc = InterruptedPc(ucontext)) {
+      for (int i = 0; i < captured && i < kMaxSkipFrames; ++i) {
+        if (frames[i] == pc) {
+          skip = i;
+          break;
+        }
+      }
+    }
     const int depth =
-        captured > kSkipFrames
-            ? (captured - kSkipFrames < kMaxDepth ? captured - kSkipFrames
-                                                  : kMaxDepth)
+        captured > skip
+            ? (captured - skip < kMaxDepth ? captured - skip : kMaxDepth)
             : 0;
-    const char* tag = ScopedOp::Current();
-    if (tag == nullptr) tag = CurrentTraceSpanName();
-    if (tag == nullptr) tag = t_inherited_tag;
+    const char* tag = CurrentTag();
 
     uint64_t h = 1469598103934665603ULL;  // FNV-1a over (pcs..., tag)
     for (int i = 0; i < depth; ++i) {
-      h ^= reinterpret_cast<uint64_t>(frames[kSkipFrames + i]);
+      h ^= reinterpret_cast<uint64_t>(frames[skip + i]);
       h *= 1099511628211ULL;
     }
     h ^= reinterpret_cast<uint64_t>(tag);
@@ -166,7 +185,7 @@ void ProfilerSignalHandler(int /*signo*/, siginfo_t* /*info*/,
       if (cur == 0) {
         slot.tag = tag;
         slot.depth = depth;
-        for (int i = 0; i < depth; ++i) slot.pcs[i] = frames[kSkipFrames + i];
+        for (int i = 0; i < depth; ++i) slot.pcs[i] = frames[skip + i];
         slot.hash.store(h, std::memory_order_release);
         slot.count.fetch_add(1, std::memory_order_relaxed);
         stored = true;
@@ -255,12 +274,12 @@ void EnrollCurrentThread() {
   }
 }
 
-/// Pool workers enroll for sampling at start, and their base tag names
+/// Pool workers enroll for sampling at start, and their root scope names
 /// what they do between chunks: waiting for work and synchronising with
-/// the dispatcher. Chunks swap in the dispatcher's tag (EnterChunkTag).
+/// the dispatcher. Chunks run under the dispatcher's scope instead.
 void WorkerStartHook() {
   EnrollCurrentThread();
-  t_inherited_tag = "pool_sync";
+  InstallWorkerRoot();
 }
 
 void WorkerExitHook() {
@@ -269,25 +288,6 @@ void WorkerExitHook() {
     t_profile = nullptr;
     UnenrollThread(tp);
   }
-}
-
-// ---- Span/op tag forwarding into pool workers -------------------------
-
-const void* CaptureDispatchTag() {
-  const char* tag = ScopedOp::Current();
-  if (tag == nullptr) tag = CurrentTraceSpanName();
-  if (tag == nullptr) tag = t_inherited_tag;
-  return tag;
-}
-
-const void* EnterChunkTag(const void* token) {
-  const char* prev = t_inherited_tag;
-  t_inherited_tag = static_cast<const char*>(token);
-  return prev;
-}
-
-void ExitChunkTag(const void* prev) {
-  t_inherited_tag = static_cast<const char*>(prev);
 }
 
 /// Installs the worker lifecycle hooks at static-init time, before any
@@ -500,6 +500,7 @@ struct MergedStack {
 struct MergedProfile {
   std::vector<MergedStack> stacks;
   int64_t samples = 0;
+  int64_t span_covered = 0;  // samples taken inside some scope
   int64_t lost = 0;
   int64_t threads = 0;
 };
@@ -526,6 +527,7 @@ MergedProfile MergeProfiles() {
       if (slot.hash.load(std::memory_order_acquire) == 0) continue;
       const int64_t count = slot.count.load(std::memory_order_relaxed);
       if (count <= 0) continue;
+      if (slot.tag != nullptr) out.span_covered += count;
       std::vector<void*> pcs(slot.pcs, slot.pcs + slot.depth);
       std::string tag = slot.tag != nullptr ? slot.tag : "(none)";
       merged[{std::move(tag), std::move(pcs)}] += count;
@@ -589,8 +591,7 @@ bool StartProfiler(int hz) {
     return false;
   }
   g_available.store(true, std::memory_order_relaxed);
-  SetParallelTagObserver(
-      ParallelTagObserver{&CaptureDispatchTag, &EnterChunkTag, &ExitChunkTag});
+  UpdateScopeForwarding();
   return true;
 }
 
@@ -599,7 +600,7 @@ void StopProfiler() {
   std::lock_guard<std::mutex> lock(reg.mu);
   if (!g_running.load(std::memory_order_relaxed)) return;
   g_running.store(false, std::memory_order_relaxed);
-  ClearParallelTagObserver();
+  UpdateScopeForwarding();
   for (const auto& tp : reg.threads) DisarmTimerLocked(tp.get());
 }
 
@@ -669,6 +670,8 @@ ProfileSummary SummarizeProfile() {
     }
     s.attributed_frac =
         static_cast<double>(attributed) / static_cast<double>(merged.samples);
+    s.span_covered_frac = static_cast<double>(merged.span_covered) /
+                          static_cast<double>(merged.samples);
   }
   return s;
 }
@@ -756,6 +759,8 @@ std::string ProfileJson(int top_n) {
      << JsonNumber(merged.samples > 0
                        ? static_cast<double>(attributed) / denom
                        : 0.0)
+     << ", \"span_covered_frac\": "
+     << JsonNumber(static_cast<double>(merged.span_covered) / denom)
      << ",\n \"top\": [";
   for (size_t i = 0; i < top.size(); ++i) {
     os << (i ? ",\n   " : "\n   ") << "{\"name\": " << JsonString(top[i].first)
@@ -792,7 +797,8 @@ std::string ProfileFoldedText() { return ""; }
 
 std::string ProfileJson(int /*top_n*/) {
   return "{\"available\": false, \"hz\": 0, \"samples\": 0, \"lost\": 0, "
-         "\"distinct_stacks\": 0, \"threads\": 0, \"attributed_frac\": 0,\n"
+         "\"distinct_stacks\": 0, \"threads\": 0, \"attributed_frac\": 0, "
+         "\"span_covered_frac\": 0,\n"
          " \"top\": [],\n \"spans\": []}";
 }
 

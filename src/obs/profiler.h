@@ -9,9 +9,9 @@
 /// CPU-time clock, SIGEV_THREAD_ID delivery) that raises SIGPROF at the
 /// requested rate *of CPU time*, so idle threads contribute no samples.
 /// The handler captures the stack with backtrace(), tags it with the
-/// innermost active autograd op (ScopedOp) or GA_TRACE_SPAN — pool
-/// workers inherit the dispatching thread's tag per parallel region —
-/// and aggregates it into a fixed-size per-thread open-addressed table.
+/// thread's innermost obs::Scope tag (obs/scope.h; pool-worker chunks run
+/// under the dispatching thread's scope) and aggregates it into a
+/// fixed-size per-thread open-addressed table.
 /// Everything heavier (symbolization via the modules' ELF symbol tables
 /// and dladdr, demangling, merging) is deferred to export time.
 ///
@@ -49,6 +49,8 @@ struct ProfileSummary {
   int64_t threads = 0;          ///< threads that contributed >= 1 sample
   double attributed_frac = 0;   ///< fraction of samples whose leaf frame
                                 ///< resolved to a real symbol
+  double span_covered_frac = 0;  ///< fraction of samples taken inside
+                                 ///< some scope (tag not "(none)")
 };
 
 /// True once a profiling session has successfully started (probe
@@ -99,6 +101,7 @@ std::string ProfileFoldedText();
 /// Aggregated JSON document:
 ///   {"available": ..., "hz": ..., "samples": ..., "lost": ...,
 ///    "distinct_stacks": ..., "threads": ..., "attributed_frac": ...,
+///    "span_covered_frac": ...,
 ///    "top": [{"name", "self", "self_pct", "total", "total_pct"}, ...],
 ///    "spans": [{"span", "samples", "share"}, ...]}
 /// "top" holds the `top_n` frames by self time; "total" counts a frame

@@ -55,21 +55,7 @@ Ring& ThreadRing() {
 
 std::atomic<bool> g_trace_enabled{false};
 
-#if GRAPHAUG_OBS_ENABLED
-thread_local const char* t_current_span = nullptr;
-#endif
-
 }  // namespace
-
-#if GRAPHAUG_OBS_ENABLED
-const char* CurrentTraceSpanName() { return t_current_span; }
-
-const char* ExchangeCurrentTraceSpanName(const char* name) {
-  const char* prev = t_current_span;
-  t_current_span = name;
-  return prev;
-}
-#endif
 
 int64_t TraceClockNs() {
   using Clock = std::chrono::steady_clock;

@@ -35,56 +35,9 @@ inline constexpr bool TraceEnabled() { return false; }
 void SetTraceEnabled(bool enabled);
 
 /// Appends a completed span to the calling thread's ring buffer. Used by
-/// TraceSpan; callable directly for spans whose bounds are not lexical.
+/// span scopes (GA_TRACE_SPAN, obs/scope.h) on exit; callable directly
+/// for spans whose bounds are not lexical.
 void RecordTraceEvent(const char* name, int64_t ts_ns, int64_t dur_ns);
-
-#if GRAPHAUG_OBS_ENABLED
-/// Name of the innermost live TraceSpan on this thread, or nullptr. Used
-/// by the memory tracker to attribute allocations to the enclosing span.
-/// Published whenever the master switch or tracing is on.
-const char* CurrentTraceSpanName();
-/// Installs `name` as the thread's current span, returning the previous
-/// one (TraceSpan internals).
-const char* ExchangeCurrentTraceSpanName(const char* name);
-#else
-inline constexpr const char* CurrentTraceSpanName() { return nullptr; }
-inline const char* ExchangeCurrentTraceSpanName(const char*) {
-  return nullptr;
-}
-#endif
-
-/// RAII scoped span: records [construction, destruction) under `name`
-/// when tracing is enabled, and publishes `name` for allocation
-/// attribution whenever instrumentation is on. Prefer the GA_TRACE_SPAN
-/// macro, which also compiles away under GRAPHAUG_NO_OBS.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) {
-    if (TraceEnabled() || Enabled()) {
-      name_ = name;
-      prev_name_ = ExchangeCurrentTraceSpanName(name);
-      record_ = TraceEnabled();
-      if (record_) start_ns_ = TraceClockNs();
-    }
-  }
-  ~TraceSpan() {
-    if (name_ != nullptr) {
-      ExchangeCurrentTraceSpanName(prev_name_);
-      if (record_) {
-        RecordTraceEvent(name_, start_ns_, TraceClockNs() - start_ns_);
-      }
-    }
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  const char* prev_name_ = nullptr;
-  bool record_ = false;
-  int64_t start_ns_ = 0;
-};
 
 /// Events currently held in every thread's ring buffer, in no particular
 /// order (test/bench helper; export prefers WriteChromeTrace).
@@ -108,19 +61,5 @@ bool WriteChromeTrace(const std::string& path);
 void ResetTrace();
 
 }  // namespace graphaug::obs
-
-/// Scoped trace span macro: GA_TRACE_SPAN("spmm"); the span closes at end
-/// of scope. Compiles to nothing under GRAPHAUG_NO_OBS.
-#if GRAPHAUG_OBS_ENABLED
-#define GA_TRACE_SPAN_CONCAT2(a, b) a##b
-#define GA_TRACE_SPAN_CONCAT(a, b) GA_TRACE_SPAN_CONCAT2(a, b)
-#define GA_TRACE_SPAN(name)                    \
-  ::graphaug::obs::TraceSpan GA_TRACE_SPAN_CONCAT(ga_trace_span_, \
-                                                  __LINE__)(name)
-#else
-#define GA_TRACE_SPAN(name) \
-  do {                      \
-  } while (0)
-#endif
 
 #endif  // GRAPHAUG_OBS_TRACE_H_

@@ -17,7 +17,7 @@
 #include "common/stopwatch.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "tensor/kernel_dispatch.h"
 #include "tensor/ops.h"
 

@@ -6,7 +6,7 @@
 #include "common/parallel.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "tensor/ops.h"
 
 namespace graphaug::retrieval {

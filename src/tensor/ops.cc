@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "tensor/kernel_dispatch.h"
 
 namespace graphaug {

@@ -102,7 +102,7 @@ TEST(RegistryTest, UnknownModelAborts) {
 }
 
 TEST(RegistryTest, AllNamesCreatable) {
-  EXPECT_EQ(AllModelNames().size(), 18u);
+  EXPECT_EQ(AllModelNames().size(), 19u);
 }
 
 TEST(KMeansTest, SeparatesWellSeparatedClusters) {

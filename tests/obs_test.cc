@@ -349,7 +349,7 @@ TEST_F(ObsTest, AllocationsAttributeToEnclosingOpTag) {
 #endif
   obs::SetEnabled(true);
   {
-    obs::ScopedOp op("TestAllocOp");
+    GA_AG_OP("TestAllocOp", 0, 0);
     Matrix m(32, 32);
     ASSERT_NE(m.data(), nullptr);
   }
@@ -361,6 +361,89 @@ TEST_F(ObsTest, AllocationsAttributeToEnclosingOpTag) {
 
   std::string err;
   EXPECT_TRUE(obs::JsonLint(obs::MemoryJson(), &err)) << err;
+}
+
+TEST_F(ObsTest, BackwardAllocationsChargeToNodeOp) {
+#if !GRAPHAUG_OBS_ENABLED
+  GTEST_SKIP() << "built with GRAPHAUG_NO_OBS";
+#endif
+  obs::SetEnabled(true);
+  Rng rng(5);
+  ParamStore store;
+  Parameter* p = store.CreateNormal("p", 16, 8, &rng);
+  Tape tape;
+  Var x = ag::Leaf(&tape, p);
+  Var y;
+  {
+    GA_AG_OP("TestBwdAllocOp", 0, 0);
+    const int xid = x.id();
+    y = tape.Emit(x.value(), true, [xid](Tape* t, const Matrix& up) {
+      Matrix g(up.rows(), up.cols());  // the backward-pass allocation
+      for (int64_t i = 0; i < up.size(); ++i) g[i] = 2.f * up[i];
+      t->AccumulateGrad(xid, g);
+    });
+  }
+  Var loss = ag::MeanAll(y);
+  const obs::MemoryTagStats before = obs::MemoryTagSnapshot()["TestBwdAllocOp"];
+  tape.Backward(loss);
+  const obs::MemoryTagStats after = obs::MemoryTagSnapshot()["TestBwdAllocOp"];
+  EXPECT_GE(after.count - before.count, 1);
+  EXPECT_GE(after.bytes - before.bytes,
+            static_cast<int64_t>(sizeof(float)) * 16 * 8);
+  const auto ops = obs::AutogradProfiler::Get().Snapshot();
+  ASSERT_TRUE(ops.count("TestBwdAllocOp"));
+  EXPECT_EQ(ops.at("TestBwdAllocOp").fwd_calls, 1);
+  EXPECT_EQ(ops.at("TestBwdAllocOp").bwd_calls, 1);
+}
+
+TEST_F(ObsTest, SpanInsideOpReportsOpTag) {
+#if !GRAPHAUG_OBS_ENABLED
+  GTEST_SKIP() << "built with GRAPHAUG_NO_OBS";
+#endif
+  obs::SetEnabled(true);
+  const int prev_threads = NumThreads();
+  SetNumThreads(3);
+  std::vector<std::string> chunk_tags(6);
+  {
+    GA_AG_OP("TagOuterOp", 0, 0);
+    {
+      GA_TRACE_SPAN("tag_inner_span");
+      EXPECT_STREQ(obs::CurrentTag(), "TagOuterOp");
+      EXPECT_STREQ(obs::Scope::Current()->name(), "tag_inner_span");
+    }
+    ParallelFor(0, 6, 1, [&chunk_tags](int64_t b, int64_t e) {
+      for (int64_t i = b; i < e; ++i) {
+        GA_TRACE_SPAN("tag_chunk_span");
+        chunk_tags[static_cast<size_t>(i)] = obs::CurrentTag();
+      }
+    });
+  }
+  SetNumThreads(prev_threads);
+  for (const std::string& tag : chunk_tags) EXPECT_EQ(tag, "TagOuterOp");
+  // Without an op, a span's tag is its own name.
+  GA_TRACE_SPAN("tag_lone_span");
+  EXPECT_STREQ(obs::CurrentTag(), "tag_lone_span");
+}
+
+TEST_F(ObsTest, NestedPerfRegionRecordsNothing) {
+#if !GRAPHAUG_OBS_ENABLED
+  GTEST_SKIP() << "built with GRAPHAUG_NO_OBS";
+#endif
+  obs::SetEnabled(true);
+  {
+    GA_PERF_REGION("outer_region");
+    {
+      GA_PERF_REGION("inner_region");
+      EXPECT_STREQ(obs::Scope::Current()->parent()->name(), "outer_region");
+      volatile double sink = 0;
+      for (int i = 0; i < 100000; ++i) sink = sink + 1.5;
+    }
+  }
+  const auto regions = obs::PerfRegionSnapshot();
+  EXPECT_EQ(regions.count("inner_region"), 0u);
+  // The outer region counts whenever the host grants perf counters.
+  EXPECT_EQ(regions.count("outer_region"),
+            obs::PerfCountersAvailable() ? 1u : 0u);
 }
 
 // --------------------------------------------------------- perf counters
@@ -439,8 +522,12 @@ TEST_F(ObsTest, SamplingProfilerCapturesNamedFramesAndSpanTags) {
   // The spin dominates the profile and its frames resolve via the ELF
   // symtab, so attribution cannot collapse to "[unknown]".
   EXPECT_GE(sum.attributed_frac, 0.5);
+  // The spin runs inside obs_test_span, so almost every sample has a tag.
+  EXPECT_GE(sum.span_covered_frac, 0.5);
   std::string err;
   EXPECT_TRUE(obs::JsonLint(obs::ProfileJson(), &err)) << err;
+  EXPECT_NE(obs::ProfileJson().find("\"span_covered_frac\""),
+            std::string::npos);
   EXPECT_TRUE(obs::WriteProfileFolded(::testing::TempDir() +
                                       "/obs_test_profile.folded"));
 }

@@ -22,6 +22,7 @@
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "graph/bipartite_graph.h"
+#include "obs/obs.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -227,17 +228,20 @@ TEST(ParallelKernelsTest, SpmmAndSpmmTBitwiseIdenticalAcrossThreadCounts) {
     adj.matrix.SpmmT(h, &bwd);
     EXPECT_TRUE(BitwiseEqual(ref_fwd, fwd)) << "threads=" << t;
     EXPECT_TRUE(BitwiseEqual(ref_bwd, bwd)) << "threads=" << t;
-    // Every explicit variant — legacy gather, permuted stream, and tiled
-    // gather — must be bitwise identical to the serial reference too: they
-    // accumulate each output row in the same ascending-original-row order.
-    for (SpmmTVariant v : {SpmmTVariant::kGather, SpmmTVariant::kPermuted,
-                           SpmmTVariant::kTiled}) {
-      Matrix out;
-      adj.matrix.SpmmT(h, &out, /*accumulate=*/false, v);
-      EXPECT_TRUE(BitwiseEqual(ref_bwd, out))
-          << "threads=" << t << " variant=" << static_cast<int>(v);
+  }
+  // Independent bitwise reference for the transposed product: a scalar
+  // scatter over the original rows accumulates each output row in
+  // ascending original-row order, the order the mirror stream keeps.
+  const CsrMatrix& a = adj.matrix;
+  Matrix scatter(a.cols(), h.cols());
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    for (int64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+      for (int64_t c = 0; c < h.cols(); ++c) {
+        scatter.at(a.col_idx()[k], c) += a.values()[k] * h.at(r, c);
+      }
     }
   }
+  EXPECT_TRUE(BitwiseEqual(ref_bwd, scatter));
 
   // Cross-check the cached-transpose gather against the explicit
   // transposed matrix product (same math, independent code path).
@@ -252,6 +256,32 @@ TEST(ParallelKernelsTest, SpmmAndSpmmTBitwiseIdenticalAcrossThreadCounts) {
   Matrix scaled_bwd;
   scaled.SpmmT(h, &scaled_bwd);
   EXPECT_TRUE(AllClose(scaled_bwd, Scale(ref_bwd, 2.f), 1e-5f, 1e-6f));
+}
+
+TEST(ParallelScopeTest, WorkerChunkAllocationsChargeToDispatchingOp) {
+#if !GRAPHAUG_OBS_ENABLED
+  GTEST_SKIP() << "built with GRAPHAUG_NO_OBS";
+#endif
+  ThreadCountGuard guard;
+  SetNumThreads(4);
+  obs::ResetAll();
+  obs::SetEnabled(true);  // obs on, no profiler session
+  constexpr int64_t kChunks = 64;
+  {
+    GA_AG_OP("ParallelTestAllocOp", 0, 0);
+    ParallelFor(0, kChunks, 1, [](int64_t b, int64_t e) {
+      for (int64_t i = b; i < e; ++i) {
+        Matrix m(8, 8);
+        ASSERT_NE(m.data(), nullptr);
+      }
+    });
+  }
+  obs::SetEnabled(false);
+  const auto tags = obs::MemoryTagSnapshot();
+  obs::ResetAll();
+  ASSERT_TRUE(tags.count("ParallelTestAllocOp"));
+  EXPECT_EQ(tags.at("ParallelTestAllocOp").count, kChunks);
+  EXPECT_EQ(tags.count("(untagged)"), 0u);
 }
 
 TEST(ParallelKernelsTest, AdjacencyPowerCacheBitwiseEqualsChainedSpmm) {

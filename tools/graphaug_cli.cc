@@ -98,8 +98,10 @@ int Usage() {
 /// Resolves --dataset (TSV path) or --preset into a Dataset.
 bool ResolveDataset(const FlagParser& flags, Dataset* out) {
   if (flags.Has("dataset")) {
+    GA_TRACE_SPAN("data_load");
     return LoadDatasetTsv(flags.GetString("dataset", ""), out);
   }
+  GA_TRACE_SPAN("data_generate");
   const std::string preset = flags.GetString("preset", "gowalla-sim");
   *out = GeneratePreset(preset,
                         static_cast<uint64_t>(flags.GetInt("seed", 0)))
@@ -146,8 +148,13 @@ int CmdGenerate(const FlagParser& flags) {
     std::fprintf(stderr, "generate: --out is required\n");
     return 2;
   }
-  SyntheticData data = GeneratePreset(
-      preset, static_cast<uint64_t>(flags.GetInt("seed", 0)));
+  SyntheticData data;
+  {
+    GA_TRACE_SPAN("data_generate");
+    data = GeneratePreset(preset,
+                          static_cast<uint64_t>(flags.GetInt("seed", 0)));
+  }
+  GA_TRACE_SPAN("write_outputs");
   if (!SaveDatasetTsv(data.dataset, out)) {
     std::fprintf(stderr, "generate: cannot write %s\n", out.c_str());
     return 1;
@@ -191,20 +198,25 @@ int CmdTrain(const FlagParser& flags) {
   std::string augmentor;
   if (!ResolveAugmentor(flags, &augmentor)) return 2;
   std::unique_ptr<Recommender> model;
-  if (model_name == "GraphAug") {
-    // Constructed directly (not via CreateModel) so the augmentor choice
-    // survives: ModelConfig has no augmentor field to carry it through.
-    GraphAugConfig gcfg;
-    static_cast<ModelConfig&>(gcfg) = ConfigFromFlags(flags);
-    gcfg.augmentor.name = augmentor;
-    model = std::make_unique<GraphAug>(&dataset, gcfg);
-  } else {
-    if (flags.Has("augmentor")) {
-      std::fprintf(stderr,
-                   "train: --augmentor applies only to --model=GraphAug\n");
-      return 2;
+  {
+    // Model construction builds the training graph and its normalized
+    // adjacency.
+    GA_TRACE_SPAN("model_build");
+    if (model_name == "GraphAug") {
+      // Constructed directly (not via CreateModel) so the augmentor choice
+      // survives: ModelConfig has no augmentor field to carry it through.
+      GraphAugConfig gcfg;
+      static_cast<ModelConfig&>(gcfg) = ConfigFromFlags(flags);
+      gcfg.augmentor.name = augmentor;
+      model = std::make_unique<GraphAug>(&dataset, gcfg);
+    } else {
+      if (flags.Has("augmentor")) {
+        std::fprintf(stderr,
+                     "train: --augmentor applies only to --model=GraphAug\n");
+        return 2;
+      }
+      model = CreateModel(model_name, &dataset, ConfigFromFlags(flags));
     }
-    model = CreateModel(model_name, &dataset, ConfigFromFlags(flags));
   }
   Evaluator evaluator(&dataset, {20, 40});
   TrainOptions options;
@@ -230,6 +242,7 @@ int CmdTrain(const FlagParser& flags) {
     options.report = &report;
   }
   TrainResult result = TrainAndEvaluate(model.get(), evaluator, options);
+  GA_TRACE_SPAN("write_outputs");
   if (report.is_open()) {
     obs::ReportFooter footer;
     const RuntimeEnv env = ProbeRuntimeEnv();
@@ -324,13 +337,17 @@ int CmdRecommend(const FlagParser& flags) {
     std::fprintf(stderr, "recommend: --checkpoint is required\n");
     return 2;
   }
-  auto model = CreateModel(flags.GetString("model", "GraphAug"), &dataset,
-                           ConfigFromFlags(flags));
-  if (!LoadCheckpoint(model->params(), ckpt)) {
-    std::fprintf(stderr, "recommend: cannot load %s\n", ckpt.c_str());
-    return 1;
+  std::unique_ptr<Recommender> model;
+  {
+    GA_TRACE_SPAN("model_build");
+    model = CreateModel(flags.GetString("model", "GraphAug"), &dataset,
+                        ConfigFromFlags(flags));
+    if (!LoadCheckpoint(model->params(), ckpt)) {
+      std::fprintf(stderr, "recommend: cannot load %s\n", ckpt.c_str());
+      return 1;
+    }
+    model->Finalize();
   }
-  model->Finalize();
   const int32_t user = static_cast<int32_t>(flags.GetInt("user", 0));
   const int topk = static_cast<int>(flags.GetInt("topk", 10));
   if (user < 0 || user >= dataset.num_users) {
@@ -444,7 +461,12 @@ int CmdDenoise(const FlagParser& flags) {
   GraphAugConfig cfg;
   static_cast<ModelConfig&>(cfg) = ConfigFromFlags(flags);
   cfg.augmentor.name = augmentor;
-  GraphAug model(&dataset, cfg);
+  std::unique_ptr<GraphAug> model_ptr;
+  {
+    GA_TRACE_SPAN("model_build");
+    model_ptr = std::make_unique<GraphAug>(&dataset, cfg);
+  }
+  GraphAug& model = *model_ptr;
   if (!model.augmenter().has_edge_scores()) {
     std::fprintf(stderr,
                  "denoise: augmentor '%s' learns no edge retention scores "
@@ -561,6 +583,7 @@ int Main(int argc, char** argv) {
   }
   obs::RssSampler::Get().Stop();
   obs::StopProfiler();
+  GA_TRACE_SPAN("write_outputs");
   if (!trace_out.empty()) {
     if (obs::WriteChromeTrace(trace_out)) {
       std::fprintf(stderr, "trace written to %s (%lld events)\n",
@@ -589,10 +612,11 @@ int Main(int argc, char** argv) {
       const obs::ProfileSummary prof = obs::SummarizeProfile();
       std::fprintf(stderr,
                    "profile written to %s / %s (%lld samples, %lld lost, "
-                   "%.1f%% attributed)\n",
+                   "%.1f%% in a scope, %.1f%% with a symbolized leaf)\n",
                    profile_folded.c_str(), profile_json.c_str(),
                    static_cast<long long>(prof.samples),
                    static_cast<long long>(prof.lost),
+                   100.0 * prof.span_covered_frac,
                    100.0 * prof.attributed_frac);
     } else {
       std::fprintf(stderr, "cannot write profile %s\n", profile_out.c_str());

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the Address+UBSanitizer preset and runs the memory-sensitive
-# tests (the parallel runtime, the CSR mirror / tiled-cursor indexing
-# tests, the retrieval engines — the panel scan walks zero-padded
-# packed buffers whose indexing must never stray — and the SIMD kernel
-# tables, whose vector tails and odd-offset starts must stay in bounds)
+# tests (the parallel runtime, the CSR mirror indexing tests, the
+# retrieval engines — the panel scan walks zero-padded packed buffers
+# whose indexing must never stray — the SIMD kernel tables, whose vector
+# tails and odd-offset starts must stay in bounds, and the obs layer,
+# whose worker-chunk scopes point into the dispatching thread's stack)
 # under ASan+UBSan.
 # Any error aborts the run.
 #
@@ -14,10 +15,12 @@ cd "$(dirname "$0")/.."
 
 cmake --preset asan
 cmake --build --preset asan \
-  --target parallel_test graph_test retrieval_test simd_test -j "$(nproc)"
+  --target parallel_test graph_test retrieval_test simd_test obs_test \
+  -j "$(nproc)"
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=0}" \
   ctest --test-dir build-asan --output-on-failure \
-        -R '^(parallel_test|graph_test|retrieval_test|simd_test)$' "$@"
+        -R '^(parallel_test|graph_test|retrieval_test|simd_test|obs_test)$' "$@"
 
-echo "asan: parallel_test + graph_test + retrieval_test + simd_test clean"
+echo "asan: parallel_test + graph_test + retrieval_test + simd_test +" \
+  "obs_test clean"
