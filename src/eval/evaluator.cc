@@ -1,8 +1,6 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
-#include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -34,25 +32,64 @@ TopKMetrics Evaluator::Evaluate(const ScoreFn& scorer) const {
 
 namespace {
 
-/// Per-chunk metric accumulator; one instance per user chunk so chunks
-/// can be ranked on different threads and merged deterministically.
-struct MetricPartial {
-  std::vector<double> recall, ndcg, precision, hit_rate, map, mrr;
+/// Users per ranking chunk and per metric partial.
+constexpr int64_t kBatch = 128;
 
-  explicit MetricPartial(size_t nks)
-      : recall(nks, 0), ndcg(nks, 0), precision(nks, 0), hit_rate(nks, 0),
-        map(nks, 0), mrr(nks, 0) {}
+/// The per-cutoff metric arrays of TopKMetrics.
+constexpr std::vector<double> TopKMetrics::*kMetricFields[] = {
+    &TopKMetrics::recall,   &TopKMetrics::ndcg, &TopKMetrics::precision,
+    &TopKMetrics::hit_rate, &TopKMetrics::map,  &TopKMetrics::mrr};
+
+/// The one metric accumulator of both ranking paths. The i-th evaluated
+/// user is added into the partial sums of chunk i / kBatch, and Finish()
+/// merges the partials in chunk order and normalizes. The same per-user
+/// lists therefore give bitwise identical metrics whichever path ranked
+/// them and at any thread count. Distinct chunks may be filled
+/// concurrently.
+class ChunkedMetrics {
+ public:
+  ChunkedMetrics(const std::vector<int>& ks, int64_t num_users)
+      : num_users_(num_users) {
+    zero_.ks = ks;
+    for (auto field : kMetricFields) (zero_.*field).assign(ks.size(), 0.0);
+    partials_.assign(static_cast<size_t>((num_users + kBatch - 1) / kBatch),
+                     zero_);
+  }
+
+  void Add(int64_t i, const std::vector<int32_t>& ranked,
+           const std::vector<int32_t>& relevant) {
+    TopKMetrics& p = partials_[static_cast<size_t>(i / kBatch)];
+    AccumulateUserMetrics(ranked, relevant, p.ks, &p.recall, &p.ndcg,
+                          &p.precision, &p.hit_rate, &p.map, &p.mrr);
+  }
+
+  TopKMetrics Finish() const {
+    TopKMetrics m = zero_;
+    if (num_users_ == 0) return m;
+    m.num_users = static_cast<int>(num_users_);
+    const double inv = 1.0 / m.num_users;
+    for (auto field : kMetricFields) {
+      std::vector<double>& sum = m.*field;
+      for (const TopKMetrics& p : partials_) {
+        for (size_t ki = 0; ki < sum.size(); ++ki) sum[ki] += (p.*field)[ki];
+      }
+      for (double& v : sum) v *= inv;
+    }
+    return m;
+  }
+
+ private:
+  int64_t num_users_;
+  TopKMetrics zero_;                   ///< ks set, every sum zero
+  std::vector<TopKMetrics> partials_;  ///< per-chunk sums, not yet divided
 };
 
-/// Shared ranking loop: scores users in fixed chunks of kBatch, masks
-/// training items, extracts the top-K ranking with a per-chunk selection
-/// buffer, and accumulates metrics against the relevance sets provided by
-/// `relevant_of(user)` (sorted item ids; users with an empty set are
-/// skipped). Chunks are ranked in parallel across the shared runtime —
-/// each chunk owns its score matrix, selection buffers, and metric partial
-/// — and partials are merged in chunk order, i.e. user order, so results
-/// are identical at any thread count. The scorer must tolerate concurrent
-/// invocations.
+/// Dense ranking path: scores users in chunks of kBatch, selects each
+/// row's top-max(K) with training items excluded (TopKHeap::OfferRow),
+/// and accumulates metrics against `relevant_of(user)` (sorted item ids;
+/// users with an empty set are skipped). Chunks run in parallel on the
+/// shared runtime, each with its own score matrix, heap and list buffer.
+/// The scorer must tolerate concurrent invocations.
 template <typename RelevantFn>
 TopKMetrics RankAndScore(const Dataset& dataset,
                          const Evaluator::ScoreFn& scorer,
@@ -60,75 +97,32 @@ TopKMetrics RankAndScore(const Dataset& dataset,
                          const std::vector<int>& ks, int max_k,
                          const std::vector<int32_t>& users,
                          const RelevantFn& relevant_of) {
-  TopKMetrics m;
-  m.ks = ks;
-  m.recall.assign(ks.size(), 0);
-  m.ndcg.assign(ks.size(), 0);
-  m.precision.assign(ks.size(), 0);
-  m.hit_rate.assign(ks.size(), 0);
-  m.map.assign(ks.size(), 0);
-  m.mrr.assign(ks.size(), 0);
-
   std::vector<int32_t> batch_users;
   for (int32_t u : users) {
     if (u >= 0 && u < dataset.num_users && !relevant_of(u).empty()) {
       batch_users.push_back(u);
     }
   }
-  if (batch_users.empty()) return m;
-
-  constexpr int64_t kBatch = 128;
   const int64_t num_users = static_cast<int64_t>(batch_users.size());
-  const int64_t num_chunks = (num_users + kBatch - 1) / kBatch;
-  std::vector<MetricPartial> partials(static_cast<size_t>(num_chunks),
-                                      MetricPartial(ks.size()));
+  ChunkedMetrics metrics(ks, num_users);
   ParallelFor(0, num_users, kBatch, [&](int64_t begin, int64_t end) {
-    MetricPartial& p = partials[static_cast<size_t>(begin / kBatch)];
     const std::vector<int32_t> chunk(batch_users.begin() + begin,
                                      batch_users.begin() + end);
-    Matrix scores = scorer(chunk);
+    const Matrix scores = scorer(chunk);
     GA_CHECK_EQ(scores.rows(), static_cast<int64_t>(chunk.size()));
     GA_CHECK_EQ(scores.cols(), dataset.num_items);
-    std::vector<int32_t> ranked;
-    std::vector<int32_t> order(dataset.num_items);
+    retrieval::TopKHeap heap(max_k);
+    retrieval::TopKList list;
     for (size_t i = 0; i < chunk.size(); ++i) {
       const int32_t u = chunk[i];
-      float* row = scores.row(static_cast<int64_t>(i));
-      for (int32_t v : train_items[u]) {
-        row[v] = -std::numeric_limits<float>::infinity();
-      }
-      std::iota(order.begin(), order.end(), 0);
-      const int depth = std::min<int>(max_k, static_cast<int>(order.size()));
-      std::partial_sort(order.begin(), order.begin() + depth, order.end(),
-                        [row](int32_t a, int32_t b) {
-                          return row[a] != row[b] ? row[a] > row[b] : a < b;
-                        });
-      ranked.assign(order.begin(), order.begin() + depth);
-      AccumulateUserMetrics(ranked, relevant_of(u), ks, &p.recall, &p.ndcg,
-                            &p.precision, &p.hit_rate, &p.map, &p.mrr);
+      heap.OfferRow(scores.row(static_cast<int64_t>(i)), dataset.num_items,
+                    0, train_items[u]);
+      heap.TakeSortedDescending(&list);
+      metrics.Add(begin + static_cast<int64_t>(i), list.items,
+                  relevant_of(u));
     }
   });
-  for (const MetricPartial& p : partials) {
-    for (size_t ki = 0; ki < ks.size(); ++ki) {
-      m.recall[ki] += p.recall[ki];
-      m.ndcg[ki] += p.ndcg[ki];
-      m.precision[ki] += p.precision[ki];
-      m.hit_rate[ki] += p.hit_rate[ki];
-      m.map[ki] += p.map[ki];
-      m.mrr[ki] += p.mrr[ki];
-    }
-  }
-  m.num_users = static_cast<int>(num_users);
-  const double inv = 1.0 / m.num_users;
-  for (size_t ki = 0; ki < ks.size(); ++ki) {
-    m.recall[ki] *= inv;
-    m.ndcg[ki] *= inv;
-    m.precision[ki] *= inv;
-    m.hit_rate[ki] *= inv;
-    m.map[ki] *= inv;
-    m.mrr[ki] *= inv;
-  }
-  return m;
+  return metrics.Finish();
 }
 
 }  // namespace
@@ -146,84 +140,26 @@ TopKMetrics Evaluator::EvaluateUsers(const ScoreFn& scorer,
 TopKMetrics Evaluator::EvaluateRetrieval(
     const retrieval::Retriever& retriever,
     const Matrix& user_embeddings) const {
-  return EvaluateRetrievalUsers(retriever, user_embeddings, evaluable_users_);
-}
-
-TopKMetrics Evaluator::EvaluateRetrievalUsers(
-    const retrieval::Retriever& retriever, const Matrix& user_embeddings,
-    const std::vector<int32_t>& users) const {
   GA_TRACE_SPAN("eval_retrieval");
   GA_CHECK_EQ(user_embeddings.rows(),
               static_cast<int64_t>(dataset_->num_users));
-  TopKMetrics m;
-  m.ks = ks_;
-  m.recall.assign(ks_.size(), 0);
-  m.ndcg.assign(ks_.size(), 0);
-  m.precision.assign(ks_.size(), 0);
-  m.hit_rate.assign(ks_.size(), 0);
-  m.map.assign(ks_.size(), 0);
-  m.mrr.assign(ks_.size(), 0);
-
-  std::vector<int32_t> batch_users;
-  for (int32_t u : users) {
-    if (u >= 0 && u < dataset_->num_users && !test_items_[u].empty()) {
-      batch_users.push_back(u);
-    }
-  }
-  if (batch_users.empty()) return m;
-
+  const std::vector<int32_t>& users = evaluable_users_;
+  ChunkedMetrics metrics(ks_, static_cast<int64_t>(users.size()));
+  if (users.empty()) return metrics.Finish();
   // One batched retrieval over every evaluated user; the retriever owns
-  // the parallelism (deterministic at any thread count). Training items
-  // are excluded at the source instead of masked to -inf — both paths
-  // produce the same finite-score ranking prefix, and masked items can
-  // never be relevant (train and test are disjoint), so metrics match the
-  // dense oracle exactly for exact retrievers.
-  const Matrix queries = GatherRows(user_embeddings, batch_users);
+  // the parallelism and excludes training items at the source.
   std::vector<retrieval::TopKList> lists;
   retriever.RetrieveBatch(
-      queries, max_k_,
+      GatherRows(user_embeddings, users), max_k_,
       [&](int64_t qi) -> const std::vector<int32_t>& {
-        return train_items_[batch_users[static_cast<size_t>(qi)]];
+        return train_items_[users[static_cast<size_t>(qi)]];
       },
       &lists);
-
-  // Metric accumulation replicates the dense path's exact summation
-  // structure — per-kBatch-chunk partials merged in chunk order — so the
-  // resulting doubles are bit-for-bit identical to Evaluate() when the
-  // retriever is exact (same per-user values, same addition grouping).
-  constexpr int64_t kBatch = 128;
-  const int64_t num_users = static_cast<int64_t>(batch_users.size());
-  const int64_t num_chunks = (num_users + kBatch - 1) / kBatch;
-  std::vector<MetricPartial> partials(static_cast<size_t>(num_chunks),
-                                      MetricPartial(ks_.size()));
-  for (int64_t i = 0; i < num_users; ++i) {
-    MetricPartial& p = partials[static_cast<size_t>(i / kBatch)];
-    const int32_t u = batch_users[static_cast<size_t>(i)];
-    AccumulateUserMetrics(lists[static_cast<size_t>(i)].items, test_items_[u],
-                          ks_, &p.recall, &p.ndcg, &p.precision, &p.hit_rate,
-                          &p.map, &p.mrr);
+  for (size_t i = 0; i < users.size(); ++i) {
+    metrics.Add(static_cast<int64_t>(i), lists[i].items,
+                test_items_[users[i]]);
   }
-  for (const MetricPartial& p : partials) {
-    for (size_t ki = 0; ki < ks_.size(); ++ki) {
-      m.recall[ki] += p.recall[ki];
-      m.ndcg[ki] += p.ndcg[ki];
-      m.precision[ki] += p.precision[ki];
-      m.hit_rate[ki] += p.hit_rate[ki];
-      m.map[ki] += p.map[ki];
-      m.mrr[ki] += p.mrr[ki];
-    }
-  }
-  m.num_users = static_cast<int>(num_users);
-  const double inv = 1.0 / m.num_users;
-  for (size_t ki = 0; ki < ks_.size(); ++ki) {
-    m.recall[ki] *= inv;
-    m.ndcg[ki] *= inv;
-    m.precision[ki] *= inv;
-    m.hit_rate[ki] *= inv;
-    m.map[ki] *= inv;
-    m.mrr[ki] *= inv;
-  }
-  return m;
+  return metrics.Finish();
 }
 
 TopKMetrics Evaluator::EvaluateItemGroup(

@@ -15,14 +15,17 @@ class Retriever;
 }  // namespace retrieval
 
 /// Full-ranking top-K evaluator. For each evaluated user the model scores
-/// every item, training interactions are masked out, and the top-max(K)
-/// ranking is compared against the held-out test items — the protocol of
-/// the paper's Table II.
+/// every item, and the top-max(K) ranking with the user's training
+/// interactions excluded is compared against the held-out test items —
+/// the protocol of the paper's Table II. Selection is TopKHeap::OfferRow
+/// (retrieval/topk.h), the ranking rule shared with the retrieval
+/// engines and the `recommend` CLI.
 ///
-/// Ranking is partitioned across users in fixed chunks and run on the
-/// shared parallel runtime (common/parallel.h); per-chunk metric partials
-/// are merged in user order, so the reported metrics are identical at any
-/// thread count.
+/// Users are ranked in fixed chunks of 128 on the shared parallel runtime
+/// (common/parallel.h). Each chunk sums its users' metrics into its own
+/// partial, and partials are merged in chunk order, so the reported
+/// metrics are identical at any thread count. EvaluateRetrieval feeds the
+/// same accumulator, so an exact retriever reproduces Evaluate() bitwise.
 class Evaluator {
  public:
   /// `scorer(users)` must return a (|users| x num_items) score matrix. It
@@ -56,17 +59,13 @@ class Evaluator {
   /// `user_embeddings` is the (num_users x d) query table, matched by row
   /// to user id. With an exact retriever (TopKScorer; MipsIndex at
   /// bound_slack = 1) the metrics are bit-for-bit identical to
-  /// Evaluate() on the corresponding factored scorer — the dense path
-  /// stays available as the correctness oracle. With an approximate
-  /// retriever the gap is the recall loss, which tests and the bench
-  /// gate bound.
+  /// Evaluate() on the corresponding factored scorer, since both paths
+  /// share the selection rule and the metric accumulator. Evaluate()
+  /// stays the only path for models whose scores do not factor into
+  /// embeddings. With an approximate retriever the gap is the recall
+  /// loss, which tests and the bench gate bound.
   TopKMetrics EvaluateRetrieval(const retrieval::Retriever& retriever,
                                 const Matrix& user_embeddings) const;
-
-  /// Retrieval-backed EvaluateUsers.
-  TopKMetrics EvaluateRetrievalUsers(const retrieval::Retriever& retriever,
-                                     const Matrix& user_embeddings,
-                                     const std::vector<int32_t>& users) const;
 
   /// Users that have at least one test interaction.
   const std::vector<int32_t>& evaluable_users() const {

@@ -1,6 +1,7 @@
 #include "retrieval/topk.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -11,21 +12,48 @@
 
 namespace graphaug::retrieval {
 
-TopKList TopKHeap::TakeSortedDescending() {
-  TopKList list;
+void TopKHeap::OfferRow(const float* scores, int64_t n, int32_t first_id,
+                        const std::vector<int32_t>& sorted_exclude) {
+  if (k_ <= 0) return;
+  const int64_t end_id = first_id + n;
+  auto ex = std::lower_bound(sorted_exclude.begin(), sorted_exclude.end(),
+                             first_id);
+  // Candidates strictly below the floor are dead; an equal score can still
+  // win on the id tie-break, so the test must stay a strict `<`. Before
+  // the heap fills, the floor is -inf and every candidate reaches Offer.
+  float floor_score =
+      full() ? worst_score() : -std::numeric_limits<float>::infinity();
+  int64_t c = 0;
+  for (;;) {
+    // Walk the run of candidates up to the next excluded id in the row.
+    const int64_t stop =
+        ex != sorted_exclude.end() && *ex < end_id ? *ex - first_id : n;
+    for (; c < stop; ++c) {
+      if (scores[c] < floor_score) continue;
+      Offer(scores[c], static_cast<int32_t>(first_id + c));
+      if (full()) floor_score = worst_score();
+    }
+    if (stop == n) return;
+    c = stop + 1;
+    ++ex;
+  }
+}
+
+void TopKHeap::TakeSortedDescending(TopKList* out) {
   std::sort(slots_.begin(), slots_.end(),
             [](const std::pair<float, int32_t>& a,
                const std::pair<float, int32_t>& b) {
               return Better(a.first, a.second, b.first, b.second);
             });
-  list.items.reserve(slots_.size());
-  list.scores.reserve(slots_.size());
+  out->items.clear();
+  out->scores.clear();
+  out->items.reserve(slots_.size());
+  out->scores.reserve(slots_.size());
   for (const auto& [score, id] : slots_) {
-    list.items.push_back(id);
-    list.scores.push_back(score);
+    out->items.push_back(id);
+    out->scores.push_back(score);
   }
   slots_.clear();
-  return list;
 }
 
 TopKList Retriever::Retrieve(const Matrix& query, int k,
@@ -80,27 +108,15 @@ void TopKScorer::RetrieveBatch(const Matrix& queries, int k,
     for (const Matrix& tile : tiles_) {
       Gemm(qchunk, false, tile, true, 1.f, 0.f, &tile_scores);
       for (int64_t i = 0; i < rows; ++i) {
-        const std::vector<int32_t>& ex = exclude(begin + i);
-        auto ex_it = std::lower_bound(ex.begin(), ex.end(),
-                                      static_cast<int32_t>(t0));
-        const float* row = tile_scores.row(i);
-        TopKHeap& heap = heaps[static_cast<size_t>(i)];
-        for (int64_t c = 0; c < tile.rows(); ++c) {
-          const int32_t id = static_cast<int32_t>(t0 + c);
-          if (ex_it != ex.end() && *ex_it == id) {
-            ++ex_it;
-            continue;
-          }
-          // One predictable comparison rejects almost every candidate.
-          if (heap.full() && row[c] < heap.worst_score()) continue;
-          heap.Offer(row[c], id);
-        }
+        heaps[static_cast<size_t>(i)].OfferRow(
+            tile_scores.row(i), tile.rows(), static_cast<int32_t>(t0),
+            exclude(begin + i));
       }
       t0 += tile.rows();
     }
     for (int64_t i = 0; i < rows; ++i) {
-      (*out)[static_cast<size_t>(begin + i)] =
-          heaps[static_cast<size_t>(i)].TakeSortedDescending();
+      heaps[static_cast<size_t>(i)].TakeSortedDescending(
+          &(*out)[static_cast<size_t>(begin + i)]);
     }
   });
 

@@ -21,12 +21,14 @@ namespace graphaug::retrieval {
 /// items for this query embedding, excluding these ids", under the
 /// maximum-inner-product (MIPS) scoring contract score(q, i) = q · x_i.
 ///
-/// Ranking contract, shared with the dense oracle in eval/evaluator.cc:
-/// items are ordered by score descending, ties broken by ascending item
-/// id. An *exact* retriever (TopKScorer; MipsIndex at bound_slack = 1)
-/// returns bit-for-bit the same lists as the dense path, because every
-/// score it emits is computed with the same ascending-k separate-rounding
-/// float accumulation the dispatched GEMM uses.
+/// Ranking contract, defined by TopKHeap below: items are ordered by
+/// score descending, ties broken by ascending item id, and excluded ids
+/// are never returned. TopKHeap::OfferRow is the one item-selection loop
+/// of the dense evaluator, TopKScorer and `recommend --index=exact`. An
+/// *exact* retriever (TopKScorer; MipsIndex at bound_slack = 1) returns
+/// bit-for-bit the same lists as the dense path, because every score it
+/// emits is computed with the same ascending-k separate-rounding float
+/// accumulation the dispatched GEMM uses.
 
 /// One query's ranked result: items best-first, parallel scores.
 struct TopKList {
@@ -37,12 +39,13 @@ struct TopKList {
 /// Bounded best-k selection buffer: a binary min-heap whose root is the
 /// current *worst* kept entry, so a stream of (score, id) candidates is
 /// reduced to the best k in O(n log k) worst case — and O(n) in practice,
-/// since most candidates fail the one-comparison floor test. Ordering
-/// matches the dense oracle: higher score wins, equal scores prefer the
-/// lower item id.
+/// since most candidates fail the one-comparison floor test. Higher score
+/// wins, equal scores prefer the lower item id.
 class TopKHeap {
  public:
-  explicit TopKHeap(int k) : k_(k) { slots_.reserve(static_cast<size_t>(k)); }
+  explicit TopKHeap(int k) : k_(k) {
+    slots_.reserve(static_cast<size_t>(std::max(k, 0)));
+  }
 
   /// True when `a` outranks `b`.
   static bool Better(float sa, int32_t ia, float sb, int32_t ib) {
@@ -64,13 +67,31 @@ class TopKHeap {
     }
     const auto& worst = slots_.front();
     if (!Better(score, id, worst.first, worst.second)) return;
-    std::pop_heap(slots_.begin(), slots_.end(), WorseOnTop);
-    slots_.back() = {score, id};
-    std::push_heap(slots_.begin(), slots_.end(), WorseOnTop);
+    // Overwrite the worst entry and sift it down below every worse child:
+    // one sift instead of pop_heap's plus push_heap's, and replacements
+    // dominate selection cost on short rows.
+    const size_t n = slots_.size();
+    size_t i = 0;
+    for (size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && WorseOnTop(slots_[c], slots_[c + 1])) ++c;
+      if (!Better(score, id, slots_[c].first, slots_[c].second)) break;
+      slots_[i] = slots_[c];
+      i = c;
+    }
+    slots_[i] = {score, id};
   }
 
-  /// Drains the heap into a best-first TopKList (the heap is emptied).
-  TopKList TakeSortedDescending();
+  /// Offers items first_id .. first_id + n - 1, whose scores are
+  /// scores[0 .. n), skipping every id in `sorted_exclude` (ascending;
+  /// ids outside the row are ignored). Rows may be offered in any order
+  /// and over several calls; the result depends only on the union. With
+  /// k <= 0 nothing is kept.
+  void OfferRow(const float* scores, int64_t n, int32_t first_id,
+                const std::vector<int32_t>& sorted_exclude);
+
+  /// Drains the heap into `out`, best first, reusing its storage (the
+  /// heap is emptied).
+  void TakeSortedDescending(TopKList* out);
 
  private:
   /// std::*_heap comparator: treat "better" as "less" so the heap top is

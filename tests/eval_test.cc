@@ -1,11 +1,14 @@
 // Tests for the evaluation stack: hand-computed Recall/NDCG cases, the
 // full-ranking evaluator with a known-perfect scorer, train-item masking,
+// a bitwise match against an independent full-sort reference,
 // MAD / uniformity diagnostics, and the Welch t-test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
 #include "data/stats.h"
 #include "data/synthetic.h"
 #include "eval/embedding_stats.h"
@@ -160,6 +163,97 @@ TEST_F(EvaluatorTest, ItemGroupRestrictsRelevance) {
   // Group containing no test item: nobody evaluable.
   TopKMetrics empty = eval.EvaluateItemGroup(scorer, {9});
   EXPECT_EQ(empty.num_users, 0);
+}
+
+// Quantized score: four values, so most ranks are decided by the id
+// tie-break.
+float TieHeavyScore(int32_t u, int32_t v) {
+  return static_cast<float>((u * 7 + v * 13) % 4) * 0.25f;
+}
+
+TEST(EvaluatorOracleTest, MatchesFullSortReferenceBitwise) {
+  // 60 users (one 128-user chunk, so the reference sums users in order),
+  // 30 items, K up to 20. Every seventh user has trained on 25 items and
+  // has fewer unseen items than max(K). User 0 trained on items 0..24 and
+  // also holds item 0 in its test set: an item seen in training is never
+  // ranked, so that test item can never be a hit.
+  Dataset d;
+  d.name = "oracle";
+  d.num_users = 60;
+  d.num_items = 30;
+  Rng rng(17);
+  for (int32_t u = 0; u < d.num_users; ++u) {
+    std::vector<int32_t> perm(static_cast<size_t>(d.num_items));
+    for (int32_t v = 0; v < d.num_items; ++v) perm[v] = v;
+    if (u > 0) {
+      for (size_t i = perm.size(); i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.NextU64() % i]);
+      }
+    }
+    const int num_train = u % 7 == 0 ? 25 : 6;
+    for (int i = 0; i < num_train; ++i) d.train_edges.push_back({u, perm[i]});
+    if (u % 11 == 5) continue;  // some users hold no test items
+    d.test_edges.push_back({u, perm[num_train]});
+    d.test_edges.push_back({u, perm[num_train + 2]});
+  }
+  d.test_edges.push_back({0, 0});
+
+  const std::vector<int> ks = {10, 20};
+  Evaluator eval(&d, ks);
+  const TopKMetrics got = eval.Evaluate([](const std::vector<int32_t>& us) {
+    Matrix scores(static_cast<int64_t>(us.size()), 30);
+    for (size_t i = 0; i < us.size(); ++i) {
+      for (int32_t v = 0; v < 30; ++v) {
+        scores.at(static_cast<int64_t>(i), v) = TieHeavyScore(us[i], v);
+      }
+    }
+    return scores;
+  });
+
+  // Reference: sort every unseen item by (score desc, id asc), cut to
+  // max(K), and average AccumulateUserMetrics over users in id order.
+  std::vector<std::vector<int32_t>> train(d.num_users);
+  for (const Edge& e : d.train_edges) train[e.user].push_back(e.item);
+  const auto test = d.TestItemsByUser();
+  TopKMetrics want;
+  for (auto* v : {&want.recall, &want.ndcg, &want.precision, &want.hit_rate,
+                  &want.map, &want.mrr}) {
+    v->assign(ks.size(), 0.0);
+  }
+  for (int32_t u = 0; u < d.num_users; ++u) {
+    if (test[u].empty()) continue;
+    ++want.num_users;
+    std::vector<int32_t> ranked;
+    for (int32_t v = 0; v < d.num_items; ++v) {
+      if (std::find(train[u].begin(), train[u].end(), v) == train[u].end()) {
+        ranked.push_back(v);
+      }
+    }
+    std::sort(ranked.begin(), ranked.end(), [u](int32_t a, int32_t b) {
+      const float sa = TieHeavyScore(u, a), sb = TieHeavyScore(u, b);
+      return sa != sb ? sa > sb : a < b;
+    });
+    if (ranked.size() > 20) ranked.resize(20);
+    AccumulateUserMetrics(ranked, test[u], ks, &want.recall, &want.ndcg,
+                          &want.precision, &want.hit_rate, &want.map,
+                          &want.mrr);
+  }
+  const double inv = 1.0 / want.num_users;
+  for (auto* v : {&want.recall, &want.ndcg, &want.precision, &want.hit_rate,
+                  &want.map, &want.mrr}) {
+    for (double& x : *v) x *= inv;
+  }
+
+  ASSERT_EQ(got.num_users, want.num_users);
+  EXPECT_EQ(got.ks, ks);
+  for (size_t ki = 0; ki < ks.size(); ++ki) {
+    EXPECT_EQ(got.recall[ki], want.recall[ki]) << "K=" << ks[ki];
+    EXPECT_EQ(got.ndcg[ki], want.ndcg[ki]) << "K=" << ks[ki];
+    EXPECT_EQ(got.precision[ki], want.precision[ki]) << "K=" << ks[ki];
+    EXPECT_EQ(got.hit_rate[ki], want.hit_rate[ki]) << "K=" << ks[ki];
+    EXPECT_EQ(got.map[ki], want.map[ki]) << "K=" << ks[ki];
+    EXPECT_EQ(got.mrr[ki], want.mrr[ki]) << "K=" << ks[ki];
+  }
 }
 
 TEST(StatsGroupingTest, GroupItemsByDegree) {

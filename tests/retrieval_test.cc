@@ -1,9 +1,10 @@
-// Tests for the top-K retrieval layer (DESIGN.md §10): heap-vs-dense
-// exact equality including tie handling, pruned-index exactness at
-// bound_slack = 1 on random and norm-skewed embeddings, the recall floor
-// under relaxed slack, Save/Load round-trips, bitwise thread-count
-// determinism, scalar-vs-AVX2 score_panels parity, and Evaluator metric
-// parity between the dense oracle and the retrieval-backed path.
+// Tests for the top-K retrieval layer (DESIGN.md §10): TopKHeap::OfferRow
+// edge cases, heap-vs-dense exact equality including tie handling,
+// pruned-index exactness at bound_slack = 1 on random and norm-skewed
+// embeddings, the recall floor under relaxed slack, Save/Load
+// round-trips, bitwise thread-count determinism, scalar-vs-AVX2
+// score_panels parity, and Evaluator metric parity between the dense
+// oracle and the retrieval-backed path.
 
 #include <gtest/gtest.h>
 
@@ -148,7 +149,8 @@ TEST(TopKHeapTest, KeepsBestKWithIdTieBreak) {
   heap.Offer(0.5f, 1);
   heap.Offer(2.f, 3);
   heap.Offer(1.5f, 2);
-  TopKList list = heap.TakeSortedDescending();
+  TopKList list;
+  heap.TakeSortedDescending(&list);
   ASSERT_EQ(list.items.size(), 3u);
   EXPECT_EQ(list.items[0], 3);  // 2.f, lower id
   EXPECT_EQ(list.items[1], 7);  // 2.f, higher id
@@ -161,10 +163,122 @@ TEST(TopKHeapTest, ShortStreamReturnsAll) {
   TopKHeap heap(10);
   heap.Offer(1.f, 0);
   heap.Offer(3.f, 1);
-  TopKList list = heap.TakeSortedDescending();
+  TopKList list;
+  heap.TakeSortedDescending(&list);
   ASSERT_EQ(list.items.size(), 2u);
   EXPECT_EQ(list.items[0], 1);
   EXPECT_EQ(list.items[1], 0);
+}
+
+// ---------------------------------------------------- TopKHeap::OfferRow
+
+/// Embeddings with entries in {0, 1, 2}: scores take a handful of values,
+/// so most ranks are decided by the id tie-break.
+Matrix TieHeavyMatrix(int64_t rows, int64_t cols, uint64_t seed) {
+  Matrix m(rows, cols);
+  Rng rng(seed);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(rng.NextU64() % 3);
+  }
+  return m;
+}
+
+/// One query's selection through OfferRow, offering the dense score row
+/// as the segments (first_id, n) in the order given.
+TopKList OfferSegments(const Matrix& query, const Matrix& items, int k,
+                       const std::vector<std::pair<int32_t, int64_t>>& segs,
+                       const std::vector<int32_t>& ex) {
+  Matrix scores;
+  Gemm(query, false, items, true, 1.f, 0.f, &scores);
+  TopKHeap heap(k);
+  for (const auto& [first_id, n] : segs) {
+    heap.OfferRow(scores.row(0) + first_id, n, first_id, ex);
+  }
+  TopKList list;
+  heap.TakeSortedDescending(&list);
+  return list;
+}
+
+TEST(TopKHeapOfferRowTest, OffsetRowsAndExclusionsMatchDense) {
+  const Matrix items = TieHeavyMatrix(40, 3, 51);
+  const Matrix query = TieHeavyMatrix(1, 3, 52);
+  // Three calls with first_id 0, 13 and 27. Exclusions sit before, inside
+  // and past each row, run adjacent (5-7, 12-13, 26-27), cover the first
+  // and last id, and reach past the catalog (45, 100).
+  const std::vector<int32_t> ex = {0,  1,  5,  6,  7,  12, 13,
+                                   20, 26, 27, 39, 45, 100};
+  const std::vector<std::pair<int32_t, int64_t>> segs = {
+      {0, 13}, {13, 14}, {27, 13}};
+  for (int k : {1, 4, 10, 27}) {
+    ExpectListsEqual({OfferSegments(query, items, k, segs, ex)},
+                     DenseTopK(query, items, k, {ex}));
+  }
+}
+
+TEST(TopKHeapOfferRowTest, AllExcludedAndKAboveRowLength) {
+  const Matrix items = TieHeavyMatrix(12, 3, 61);
+  const Matrix query = TieHeavyMatrix(1, 3, 62);
+  std::vector<int32_t> all(12);
+  for (int32_t j = 0; j < 12; ++j) all[static_cast<size_t>(j)] = j;
+  EXPECT_TRUE(OfferSegments(query, items, 5, {{0, 12}}, all).items.empty());
+  // k > n returns every remaining item, best first.
+  const std::vector<int32_t> ex = {3, 11};
+  const TopKList got = OfferSegments(query, items, 50, {{0, 12}}, ex);
+  EXPECT_EQ(got.items.size(), 10u);
+  ExpectListsEqual({got}, DenseTopK(query, items, 50, {ex}));
+  // k <= 0 keeps nothing.
+  EXPECT_TRUE(OfferSegments(query, items, 0, {{0, 12}}, {}).items.empty());
+}
+
+TEST(TopKHeapOfferRowTest, EqualScoreAtFloorWithLowerIdDisplaces) {
+  // Offer ids 3..5 first: the heap fills with {3, 4} and its floor is
+  // 1.f. Ids 0..2 then tie the floor exactly and must displace both.
+  const std::vector<float> row(6, 1.f);
+  TopKHeap heap(2);
+  heap.OfferRow(row.data() + 3, 3, 3, {});
+  heap.OfferRow(row.data(), 3, 0, {});
+  TopKList got;
+  heap.TakeSortedDescending(&got);
+  ASSERT_EQ(got.items.size(), 2u);
+  EXPECT_EQ(got.items[0], 0);
+  EXPECT_EQ(got.items[1], 1);
+}
+
+TEST(TopKHeapOfferRowTest, SeveralCallsInAnyOrderMatchDense) {
+  const Matrix items = TieHeavyMatrix(64, 3, 71);
+  const Matrix queries = TieHeavyMatrix(5, 3, 72);
+  const std::vector<int32_t> ex = {2, 3, 17, 31, 32, 33, 63};
+  // Tile-sized rows in ascending order (as TopKScorer offers them), in
+  // descending order, and interleaved.
+  const std::vector<std::vector<std::pair<int32_t, int64_t>>> orders = {
+      {{0, 16}, {16, 16}, {32, 16}, {48, 16}},
+      {{48, 16}, {32, 16}, {16, 16}, {0, 16}},
+      {{20, 25}, {0, 20}, {45, 19}}};
+  for (int64_t q = 0; q < queries.rows(); ++q) {
+    const Matrix query = SliceRows(queries, q, 1);
+    const auto want = DenseTopK(query, items, 9, {ex});
+    for (const auto& segs : orders) {
+      ExpectListsEqual({OfferSegments(query, items, 9, segs, ex)}, want);
+    }
+  }
+}
+
+TEST(TopKHeapOfferRowTest, DrainedHeapIsReusable) {
+  // The dense evaluator keeps one heap per user chunk and drains it into
+  // one reused list per user.
+  const Matrix items = TieHeavyMatrix(30, 3, 81);
+  const Matrix queries = TieHeavyMatrix(4, 3, 82);
+  Matrix scores;
+  Gemm(queries, false, items, true, 1.f, 0.f, &scores);
+  TopKHeap heap(7);
+  TopKList list;
+  for (int64_t q = 0; q < queries.rows(); ++q) {
+    const std::vector<int32_t> ex = {static_cast<int32_t>(q), 29};
+    heap.OfferRow(scores.row(q), items.rows(), 0, ex);
+    heap.TakeSortedDescending(&list);
+    ExpectListsEqual({list},
+                     DenseTopK(SliceRows(queries, q, 1), items, 7, {ex}));
+  }
 }
 
 // ------------------------------------------- heap scorer vs dense oracle

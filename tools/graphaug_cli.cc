@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -368,24 +367,12 @@ int CmdRecommend(const FlagParser& flags) {
 
   retrieval::TopKList list;
   if (index_mode == "exact") {
-    // Dense oracle: score everything, mask seen items, rank the row with
-    // the library-wide tie-break (score desc, item id asc).
-    Matrix scores = model->ScoreUsers({user});
-    for (int32_t v : seen) {
-      scores[v] = -std::numeric_limits<float>::infinity();
-    }
-    std::vector<int32_t> order(dataset.num_items);
-    std::iota(order.begin(), order.end(), 0);
-    const int depth = std::min<int>(topk, dataset.num_items);
-    std::partial_sort(order.begin(), order.begin() + depth, order.end(),
-                      [&scores](int32_t a, int32_t b) {
-                        return scores[a] != scores[b] ? scores[a] > scores[b]
-                                                      : a < b;
-                      });
-    for (int r = 0; r < depth; ++r) {
-      list.items.push_back(order[r]);
-      list.scores.push_back(scores[order[r]]);
-    }
+    // Score the whole row with the model itself (any model, factored or
+    // not) and select with the retrieval engines' ranking rule.
+    const Matrix scores = model->ScoreUsers({user});
+    retrieval::TopKHeap heap(topk);
+    heap.OfferRow(scores.row(0), dataset.num_items, 0, seen);
+    heap.TakeSortedDescending(&list);
   } else {
     const Matrix query = SliceRows(model->user_embeddings(), user, 1);
     if (index_mode == "heap") {

@@ -3,9 +3,10 @@
 # tests (the parallel runtime, the CSR mirror indexing tests, the
 # retrieval engines — the panel scan walks zero-padded packed buffers
 # whose indexing must never stray — the SIMD kernel tables, whose vector
-# tails and odd-offset starts must stay in bounds, and the obs layer,
-# whose worker-chunk scopes point into the dispatching thread's stack)
-# under ASan+UBSan.
+# tails and odd-offset starts must stay in bounds, the obs layer, whose
+# worker-chunk scopes point into the dispatching thread's stack, and the
+# evaluator, whose parallel chunks hand score rows and exclusion lists to
+# the shared top-K selection) under ASan+UBSan.
 # Any error aborts the run.
 #
 # Usage: tools/run_asan.sh [extra ctest args...]
@@ -16,11 +17,13 @@ cd "$(dirname "$0")/.."
 cmake --preset asan
 cmake --build --preset asan \
   --target parallel_test graph_test retrieval_test simd_test obs_test \
+  eval_test \
   -j "$(nproc)"
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=0}" \
   ctest --test-dir build-asan --output-on-failure \
-        -R '^(parallel_test|graph_test|retrieval_test|simd_test|obs_test)$' "$@"
+        -R '^(parallel_test|graph_test|retrieval_test|simd_test|obs_test|eval_test)$' \
+        "$@"
 
 echo "asan: parallel_test + graph_test + retrieval_test + simd_test +" \
-  "obs_test clean"
+  "obs_test + eval_test clean"

@@ -6,7 +6,10 @@
 # unit tests exercise), contain the sections the instrumentation layer
 # promises, that the run report self-diffs cleanly through
 # report_compare, and that the folded profile digests through
-# profile_report. Registered as a ctest (run_obs_smoke) from
+# profile_report. The saved checkpoint then drives `recommend`: the
+# exact (dense) and heap engines must print identical tables, and a
+# top-K as deep as the catalog must list no already-seen item. Registered
+# as a ctest (run_obs_smoke) from
 # tools/CMakeLists.txt.
 #
 # Usage: run_obs_smoke.sh GRAPHAUG_BIN JSON_CHECK_BIN REPORT_COMPARE_BIN \
@@ -26,10 +29,11 @@ METRICS="$WORK/metrics.json"
 TRACE="$WORK/trace.json"
 REPORT="$WORK/report.jsonl"
 PROFILE="$WORK/profile"
+CKPT="$WORK/model.bin"
 
 "$CLI" train --preset=tiny --model=GraphAug --epochs=2 --eval-every=2 \
   --metrics-out="$METRICS" --trace-out="$TRACE" --report-out="$REPORT" \
-  --profile-out="$PROFILE" --profile-hz=4000 \
+  --profile-out="$PROFILE" --profile-hz=4000 --checkpoint="$CKPT" \
   --obs-report --log-level=warn
 
 [ -s "$METRICS" ] || { echo "FAIL: $METRICS missing or empty" >&2; exit 1; }
@@ -77,6 +81,25 @@ grep -q '"git_sha"' "$REPORT" || {
 # A report must diff cleanly against itself, even with a strict gate.
 "$RCOMPARE" --baseline="$REPORT" --current="$REPORT" --max-metric-drop=0.01 \
   >/dev/null
+
+# recommend: every engine selects with the same ranking rule, so exact
+# and heap print the same table (the header names the engine). Asking for
+# every item must still leave out the user's training items, which would
+# otherwise show up with score -inf.
+NUM_ITEMS=$("$CLI" stats --preset=tiny | awk '$2 == "items" {print $4}')
+for mode in exact heap; do
+  "$CLI" recommend --preset=tiny --model=GraphAug --checkpoint="$CKPT" \
+    --user=0 --topk="$NUM_ITEMS" --index="$mode" --log-level=warn \
+    | tail -n +2 >"$WORK/rec_$mode.txt"
+done
+[ -s "$WORK/rec_exact.txt" ] || {
+  echo "FAIL: recommend --index=exact printed nothing" >&2; exit 1; }
+cmp -s "$WORK/rec_exact.txt" "$WORK/rec_heap.txt" || {
+  echo "FAIL: recommend --index=exact and --index=heap differ" >&2; exit 1; }
+if grep -q -- '-inf' "$WORK/rec_exact.txt"; then
+  echo "FAIL: recommend --topk=$NUM_ITEMS lists seen items (-inf)" >&2
+  exit 1
+fi
 
 # An unwritable output path must fail fast with a warning, before training.
 if "$CLI" train --preset=tiny --model=GraphAug --epochs=1 \
