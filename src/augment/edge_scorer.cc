@@ -37,16 +37,14 @@ Var EdgeScorer::Score(Tape* tape, Var node_embeddings,
   // h̃ = (h - ε) ⊙ m + ε  ==  h ⊙ m + ε ⊙ (1 - m).
   auto disturb = [&](Var h, Parameter* mask_param) {
     Var m = ag::Sigmoid(ag::Leaf(tape, mask_param));
-    Var hm = ag::MulRowBroadcast(h, m);
-    if (rng == nullptr || noise_stddev_ <= 0.f) return hm;
+    if (rng == nullptr || noise_stddev_ <= 0.f) {
+      return ag::MulRowBroadcast(h, m);
+    }
     // One key per side and call; the noise itself is counter-based, so
     // the draw parallelizes and never depends on the thread count.
-    Matrix eps(h.rows(), h.cols());
+    Matrix eps = Matrix::Uninit(h.rows(), h.cols());
     FillNormal(&eps, rng->NextU64(), 0.f, noise_stddev_);
-    Var one_minus_m = ag::AddScalar(ag::Neg(m), 1.f);
-    Var noise =
-        ag::MulRowBroadcast(ag::Constant(tape, std::move(eps)), one_minus_m);
-    return ag::Add(hm, noise);
+    return ag::MaskedNoiseMix(h, m, std::move(eps));
   };
   Var tu = disturb(hu, user_mask_);
   Var tv = disturb(hv, item_mask_);

@@ -29,7 +29,7 @@ constexpr int64_t kMapGrain = 1 << 15;
 /// template parameter so the per-element call inlines.
 template <typename Fn>
 Matrix MapElements(const Matrix& a, Fn fn) {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::Uninit(a.rows(), a.cols());
   const float* x = a.data();
   float* y = out.data();
   ParallelFor(0, a.size(), kMapGrain, [&](int64_t i0, int64_t i1) {
@@ -49,11 +49,14 @@ Var UnaryOp(const char* name, Var a, Fwd fwd, Dydx dydx) {
   Matrix y = MapElements(a.value(), fwd);
   const int aid = a.id();
   const bool ng = t->NeedsGrad(aid);
-  return t->Emit(std::move(y), ng, [aid, dydx](Tape* t, const Matrix& up) {
-    const Matrix& x = t->ValueOf(aid);
-    Matrix g(up.rows(), up.cols());
-    for (int64_t i = 0; i < up.size(); ++i) g[i] = up[i] * dydx(x[i]);
-    t->AccumulateGrad(aid, g);
+  return t->Emit(std::move(y), ng, [aid, dydx](Tape* t, Matrix& up) {
+    // dx = up * dydx(x), written over `up` and handed on.
+    const float* x = t->ValueOf(aid).data();
+    float* g = up.data();
+    ParallelFor(0, up.size(), kMapGrain, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) g[i] = g[i] * dydx(x[i]);
+    });
+    t->AccumulateGrad(aid, std::move(up));
   });
 }
 
@@ -72,9 +75,15 @@ Var Add(Var a, Var b) {
   const int aid = a.id(), bid = b.id();
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(bid);
   return t->Emit(graphaug::Add(a.value(), b.value()), ng,
-                 [aid, bid](Tape* t, const Matrix& up) {
-                   t->AccumulateGrad(aid, up);
-                   t->AccumulateGrad(bid, up);
+                 [aid, bid](Tape* t, Matrix& up) {
+                   // `up` goes to the last input that takes it; the first
+                   // gets a copy only when both need gradients.
+                   if (t->NeedsGrad(bid)) {
+                     t->AccumulateGrad(aid, up);
+                     t->AccumulateGrad(bid, std::move(up));
+                   } else {
+                     t->AccumulateGrad(aid, std::move(up));
+                   }
                  });
 }
 
@@ -85,9 +94,11 @@ Var Sub(Var a, Var b) {
   const int aid = a.id(), bid = b.id();
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(bid);
   return t->Emit(graphaug::Sub(a.value(), b.value()), ng,
-                 [aid, bid](Tape* t, const Matrix& up) {
-                   t->AccumulateGrad(aid, up);
-                   t->AccumulateGrad(bid, graphaug::Scale(up, -1.f));
+                 [aid, bid](Tape* t, Matrix& up) {
+                   Matrix neg_up;
+                   if (t->NeedsGrad(bid)) neg_up = graphaug::Scale(up, -1.f);
+                   t->AccumulateGrad(aid, std::move(up));
+                   t->AccumulateGrad(bid, std::move(neg_up));
                  });
 }
 
@@ -98,7 +109,7 @@ Var Mul(Var a, Var b) {
   const int aid = a.id(), bid = b.id();
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(bid);
   return t->Emit(graphaug::Mul(a.value(), b.value()), ng,
-                 [aid, bid](Tape* t, const Matrix& up) {
+                 [aid, bid](Tape* t, Matrix& up) {
                    t->AccumulateGrad(aid, graphaug::Mul(up, t->ValueOf(bid)));
                    t->AccumulateGrad(bid, graphaug::Mul(up, t->ValueOf(aid)));
                  });
@@ -112,7 +123,7 @@ Var Scale(Var a, float s) {
   GA_AG_OP("Scale", n, 8 * n);
   const int aid = a.id();
   return t->Emit(graphaug::Scale(a.value(), s), t->NeedsGrad(aid),
-                 [aid, s](Tape* t, const Matrix& up) {
+                 [aid, s](Tape* t, Matrix& up) {
                    t->AccumulateGrad(aid, graphaug::Scale(up, s));
                  });
 }
@@ -123,8 +134,8 @@ Var AddScalar(Var a, float s) {
   GA_AG_OP("AddScalar", n, 8 * n);
   const int aid = a.id();
   return t->Emit(MapElements(a.value(), [s](float x) { return x + s; }),
-                 t->NeedsGrad(aid), [aid](Tape* t, const Matrix& up) {
-                   t->AccumulateGrad(aid, up);
+                 t->NeedsGrad(aid), [aid](Tape* t, Matrix& up) {
+                   t->AccumulateGrad(aid, std::move(up));
                  });
 }
 
@@ -200,12 +211,12 @@ Var Dropout(Var a, float p, Rng* rng) {
     y[i] = a.value()[i] * m;
   }
   return t->Emit(std::move(y), t->NeedsGrad(aid),
-                 [aid, mask](Tape* t, const Matrix& up) {
+                 [aid, mask](Tape* t, Matrix& up) {
                    Matrix g(up.rows(), up.cols());
                    for (int64_t i = 0; i < up.size(); ++i) {
                      g[i] = up[i] * (*mask)[static_cast<size_t>(i)];
                    }
-                   t->AccumulateGrad(aid, g);
+                   t->AccumulateGrad(aid, std::move(g));
                  });
 }
 
@@ -221,7 +232,7 @@ Var MatMul(Var a, Var b, bool trans_a, bool trans_b) {
   Gemm(a.value(), trans_a, b.value(), trans_b, 1.f, 0.f, &y);
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(bid);
   return t->Emit(
-      std::move(y), ng, [aid, bid, trans_a, trans_b](Tape* t, const Matrix& up) {
+      std::move(y), ng, [aid, bid, trans_a, trans_b](Tape* t, Matrix& up) {
         const Matrix& av = t->ValueOf(aid);
         const Matrix& bv = t->ValueOf(bid);
         if (t->NeedsGrad(aid)) {
@@ -233,7 +244,7 @@ Var MatMul(Var a, Var b, bool trans_a, bool trans_b) {
             // A appears transposed: dA = op(B) * dY^T
             Gemm(bv, trans_b, up, true, 1.f, 0.f, &ga);
           }
-          t->AccumulateGrad(aid, ga);
+          t->AccumulateGrad(aid, std::move(ga));
         }
         if (t->NeedsGrad(bid)) {
           Matrix gb;
@@ -244,7 +255,7 @@ Var MatMul(Var a, Var b, bool trans_a, bool trans_b) {
             // B appears transposed: dB = dY^T * op(A)
             Gemm(up, true, av, trans_a, 1.f, 0.f, &gb);
           }
-          t->AccumulateGrad(bid, gb);
+          t->AccumulateGrad(bid, std::move(gb));
         }
       });
 }
@@ -259,10 +270,10 @@ Var Spmm(const CsrMatrix* csr, Var dense) {
   Matrix y;
   csr->Spmm(dense.value(), &y);
   return t->Emit(std::move(y), t->NeedsGrad(did),
-                 [csr, did](Tape* t, const Matrix& up) {
+                 [csr, did](Tape* t, Matrix& up) {
                    Matrix g;
                    csr->SpmmT(up, &g);
-                   t->AccumulateGrad(did, g);
+                   t->AccumulateGrad(did, std::move(g));
                  });
 }
 
@@ -278,10 +289,10 @@ Var SpmmPower(const AdjacencyPowerCache* cache, int k, Var dense) {
   Matrix y;
   cache->Apply(k, dense.value(), &y);
   return t->Emit(std::move(y), t->NeedsGrad(did),
-                 [cache, k, did](Tape* t, const Matrix& up) {
+                 [cache, k, did](Tape* t, Matrix& up) {
                    Matrix g;
                    cache->ApplyTransposed(k, up, &g);
-                   t->AccumulateGrad(did, g);
+                   t->AccumulateGrad(did, std::move(g));
                  });
 }
 
@@ -319,7 +330,7 @@ Var EdgeWeightedSpmm(const NormalizedAdjacency* adj, Var edge_w, Var dense) {
 
   const bool ng = t->NeedsGrad(wid) || t->NeedsGrad(did);
   return t->Emit(std::move(y), ng, [adj, wid, did, values](Tape* t,
-                                                           const Matrix& up) {
+                                                           Matrix& up) {
     const CsrMatrix& m = adj->matrix;
     const auto& row_ptr = m.row_ptr();
     const auto& col_idx = m.col_idx();
@@ -338,7 +349,7 @@ Var EdgeWeightedSpmm(const NormalizedAdjacency* adj, Var edge_w, Var dense) {
       const std::vector<float> pv = mir.PermuteValues(*values);
       Matrix gh(h.rows(), d);
       CscMirrorSpmm(mir, pv.data(), up, &gh);
-      t->AccumulateGrad(did, gh);
+      t->AccumulateGrad(did, std::move(gh));
     }
     if (t->NeedsGrad(wid)) {
       // dw[edge(k)] += base[k] * <up[row(k)], h[col(k)]>. The expensive
@@ -368,7 +379,7 @@ Var EdgeWeightedSpmm(const NormalizedAdjacency* adj, Var edge_w, Var dense) {
         const int64_t e = adj->nnz_to_edge[static_cast<size_t>(k)];
         if (e >= 0) gw[e] += per_nnz[static_cast<size_t>(k)];
       }
-      t->AccumulateGrad(wid, gw);
+      t->AccumulateGrad(wid, std::move(gw));
     }
   });
 }
@@ -381,11 +392,11 @@ Var GatherRows(Var a, std::vector<int32_t> idx) {
   Matrix y = graphaug::GatherRows(a.value(), idx);
   auto idx_ptr = std::make_shared<std::vector<int32_t>>(std::move(idx));
   return t->Emit(std::move(y), t->NeedsGrad(aid),
-                 [aid, idx_ptr](Tape* t, const Matrix& up) {
+                 [aid, idx_ptr](Tape* t, Matrix& up) {
                    const Matrix& av = t->ValueOf(aid);
                    Matrix g(av.rows(), av.cols());
                    ScatterAddRows(up, *idx_ptr, &g);
-                   t->AccumulateGrad(aid, g);
+                   t->AccumulateGrad(aid, std::move(g));
                  });
 }
 
@@ -397,7 +408,7 @@ Var ConcatCols(Var a, Var b) {
   const int64_t ac = a.cols();
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(bid);
   return t->Emit(graphaug::ConcatCols(a.value(), b.value()), ng,
-                 [aid, bid, ac](Tape* t, const Matrix& up) {
+                 [aid, bid, ac](Tape* t, Matrix& up) {
                    t->AccumulateGrad(aid, graphaug::SliceCols(up, 0, ac));
                    t->AccumulateGrad(
                        bid, graphaug::SliceCols(up, ac, up.cols() - ac));
@@ -410,13 +421,13 @@ Var SliceCols(Var a, int64_t start, int64_t len) {
   const int aid = a.id();
   return t->Emit(graphaug::SliceCols(a.value(), start, len),
                  t->NeedsGrad(aid),
-                 [aid, start, len](Tape* t, const Matrix& up) {
+                 [aid, start, len](Tape* t, Matrix& up) {
                    const Matrix& av = t->ValueOf(aid);
                    Matrix g(av.rows(), av.cols());
                    for (int64_t r = 0; r < up.rows(); ++r) {
                      std::copy(up.row(r), up.row(r) + len, g.row(r) + start);
                    }
-                   t->AccumulateGrad(aid, g);
+                   t->AccumulateGrad(aid, std::move(g));
                  });
 }
 
@@ -432,15 +443,17 @@ Var AddRowBroadcast(Var a, Var row) {
     for (int64_t c = 0; c < y.cols(); ++c) y.at(r, c) += row.value()[c];
   }
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(rid);
-  return t->Emit(std::move(y), ng, [aid, rid](Tape* t, const Matrix& up) {
-    t->AccumulateGrad(aid, up);
+  return t->Emit(std::move(y), ng, [aid, rid](Tape* t, Matrix& up) {
+    // The bias reduction reads `up` before `a` takes it.
+    Matrix g;
     if (t->NeedsGrad(rid)) {
-      Matrix g(1, up.cols());
+      g = Matrix(1, up.cols());
       for (int64_t r = 0; r < up.rows(); ++r) {
         for (int64_t c = 0; c < up.cols(); ++c) g[c] += up.at(r, c);
       }
-      t->AccumulateGrad(rid, g);
     }
+    t->AccumulateGrad(aid, std::move(up));
+    t->AccumulateGrad(rid, std::move(g));
   });
 }
 
@@ -451,32 +464,96 @@ Var MulRowBroadcast(Var a, Var row) {
   GA_CHECK_EQ(row.rows(), 1);
   GA_CHECK_EQ(row.cols(), a.cols());
   const int aid = a.id(), rid = row.id();
-  Matrix y = a.value();
+  const Matrix& av = a.value();
+  const float* rv = row.value().data();
+  Matrix y = Matrix::Uninit(av.rows(), av.cols());
   for (int64_t r = 0; r < y.rows(); ++r) {
-    for (int64_t c = 0; c < y.cols(); ++c) y.at(r, c) *= row.value()[c];
+    const float* ar = av.row(r);
+    float* yr = y.row(r);
+    for (int64_t c = 0; c < y.cols(); ++c) yr[c] = ar[c] * rv[c];
   }
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(rid);
-  return t->Emit(std::move(y), ng, [aid, rid](Tape* t, const Matrix& up) {
+  return t->Emit(std::move(y), ng, [aid, rid](Tape* t, Matrix& up) {
     const Matrix& av = t->ValueOf(aid);
     const Matrix& rv = t->ValueOf(rid);
-    if (t->NeedsGrad(aid)) {
-      Matrix g(up.rows(), up.cols());
-      for (int64_t r = 0; r < up.rows(); ++r) {
-        for (int64_t c = 0; c < up.cols(); ++c) {
-          g.at(r, c) = up.at(r, c) * rv[c];
-        }
-      }
-      t->AccumulateGrad(aid, g);
-    }
+    // The row reduction reads `up` first; then da is written over `up`.
+    // Accumulation order (a, then row) is unchanged.
+    Matrix gr;
     if (t->NeedsGrad(rid)) {
-      Matrix g(1, up.cols());
+      gr = Matrix(1, up.cols());
       for (int64_t r = 0; r < up.rows(); ++r) {
         for (int64_t c = 0; c < up.cols(); ++c) {
-          g[c] += up.at(r, c) * av.at(r, c);
+          gr[c] += up.at(r, c) * av.at(r, c);
         }
       }
-      t->AccumulateGrad(rid, g);
     }
+    if (t->NeedsGrad(aid)) {
+      for (int64_t r = 0; r < up.rows(); ++r) {
+        for (int64_t c = 0; c < up.cols(); ++c) up.at(r, c) *= rv[c];
+      }
+      t->AccumulateGrad(aid, std::move(up));
+    }
+    t->AccumulateGrad(rid, std::move(gr));
+  });
+}
+
+Var MaskedNoiseMix(Var h, Var mask, Matrix eps) {
+  Tape* t = h.tape();
+  const double n = static_cast<double>(h.value().size());
+  GA_AG_OP("MaskedNoiseMix", 3 * n, 12 * n);
+  GA_CHECK_EQ(mask.rows(), 1);
+  GA_CHECK_EQ(mask.cols(), h.cols());
+  GA_CHECK(eps.SameShape(h.value()))
+      << eps.ShapeString() << " vs " << h.value().ShapeString();
+  const int hid = h.id(), mid = mask.id();
+  const Matrix& hv = h.value();
+  const float* m = mask.value().data();
+  const int64_t d = hv.cols();
+  // 1 - m exactly as the composed graph rounds it: Neg, then AddScalar.
+  Matrix keep = Matrix::Uninit(1, d);
+  for (int64_t c = 0; c < d; ++c) keep[c] = (m[c] * -1.f) + 1.f;
+  Matrix y = Matrix::Uninit(hv.rows(), d);
+  const int64_t row_grain =
+      std::max<int64_t>(1, kMapGrain / std::max<int64_t>(1, d));
+  ParallelFor(0, hv.rows(), row_grain, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* hr = hv.row(r);
+      const float* er = eps.row(r);
+      float* yr = y.row(r);
+      for (int64_t c = 0; c < d; ++c) yr[c] = hr[c] * m[c] + er[c] * keep[c];
+    }
+  });
+  auto eps_ptr = std::make_shared<Matrix>(std::move(eps));
+  const bool ng = t->NeedsGrad(hid) || t->NeedsGrad(mid);
+  return t->Emit(std::move(y), ng, [hid, mid, eps_ptr](Tape* t, Matrix& up) {
+    const Matrix& hv = t->ValueOf(hid);
+    const Matrix& e = *eps_ptr;
+    const float* m = t->ValueOf(mid).data();
+    const bool need_h = t->NeedsGrad(hid), need_m = t->NeedsGrad(mid);
+    const int64_t d = up.cols();
+    // One pass over `up`: both column sums in row order, as the two
+    // MulRowBroadcast backwards form them, then dh = up ⊙ m over `up`.
+    Matrix gm, ge;
+    if (need_m) gm = ge = Matrix(1, d);
+    for (int64_t r = 0; r < up.rows(); ++r) {
+      float* ur = up.row(r);
+      if (need_m) {
+        const float* hr = hv.row(r);
+        const float* er = e.row(r);
+        for (int64_t c = 0; c < d; ++c) {
+          gm[c] += ur[c] * hr[c];
+          ge[c] += ur[c] * er[c];
+        }
+      }
+      if (need_h) {
+        for (int64_t c = 0; c < d; ++c) ur[c] = ur[c] * m[c];
+      }
+    }
+    // The composed graph reaches m through Neg first, then through h ⊙ m:
+    // (-Σ up·ε) + Σ up·h.
+    for (int64_t c = 0; c < gm.size(); ++c) gm[c] = (ge[c] * -1.f) + gm[c];
+    t->AccumulateGrad(hid, std::move(up));
+    t->AccumulateGrad(mid, std::move(gm));
   });
 }
 
@@ -493,7 +570,7 @@ Var MulColBroadcast(Var a, Var col) {
     for (int64_t c = 0; c < y.cols(); ++c) y.at(r, c) *= s;
   }
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(cid);
-  return t->Emit(std::move(y), ng, [aid, cid](Tape* t, const Matrix& up) {
+  return t->Emit(std::move(y), ng, [aid, cid](Tape* t, Matrix& up) {
     const Matrix& av = t->ValueOf(aid);
     const Matrix& cv = t->ValueOf(cid);
     if (t->NeedsGrad(aid)) {
@@ -502,7 +579,7 @@ Var MulColBroadcast(Var a, Var col) {
         const float s = cv[r];
         for (int64_t c = 0; c < up.cols(); ++c) g.at(r, c) = up.at(r, c) * s;
       }
-      t->AccumulateGrad(aid, g);
+      t->AccumulateGrad(aid, std::move(g));
     }
     if (t->NeedsGrad(cid)) {
       Matrix g(up.rows(), 1);
@@ -513,7 +590,7 @@ Var MulColBroadcast(Var a, Var col) {
         }
         g[r] = static_cast<float>(s);
       }
-      t->AccumulateGrad(cid, g);
+      t->AccumulateGrad(cid, std::move(g));
     }
   });
 }
@@ -528,10 +605,10 @@ Var MeanAll(Var a) {
                         : 0.f;
   Matrix y(1, 1, static_cast<float>(graphaug::MeanAll(a.value())));
   return t->Emit(std::move(y), t->NeedsGrad(aid),
-                 [aid, inv](Tape* t, const Matrix& up) {
+                 [aid, inv](Tape* t, Matrix& up) {
                    const Matrix& av = t->ValueOf(aid);
                    Matrix g(av.rows(), av.cols(), up[0] * inv);
-                   t->AccumulateGrad(aid, g);
+                   t->AccumulateGrad(aid, std::move(g));
                  });
 }
 
@@ -542,10 +619,10 @@ Var SumAll(Var a) {
   const int aid = a.id();
   Matrix y(1, 1, static_cast<float>(graphaug::SumAll(a.value())));
   return t->Emit(std::move(y), t->NeedsGrad(aid),
-                 [aid](Tape* t, const Matrix& up) {
+                 [aid](Tape* t, Matrix& up) {
                    const Matrix& av = t->ValueOf(aid);
                    Matrix g(av.rows(), av.cols(), up[0]);
-                   t->AccumulateGrad(aid, g);
+                   t->AccumulateGrad(aid, std::move(g));
                  });
 }
 
@@ -555,14 +632,14 @@ Var RowSum(Var a) {
            4.0 * static_cast<double>(a.value().size()));
   const int aid = a.id();
   return t->Emit(graphaug::RowSum(a.value()), t->NeedsGrad(aid),
-                 [aid](Tape* t, const Matrix& up) {
+                 [aid](Tape* t, Matrix& up) {
                    const Matrix& av = t->ValueOf(aid);
                    Matrix g(av.rows(), av.cols());
                    for (int64_t r = 0; r < g.rows(); ++r) {
                      const float s = up[r];
                      for (int64_t c = 0; c < g.cols(); ++c) g.at(r, c) = s;
                    }
-                   t->AccumulateGrad(aid, g);
+                   t->AccumulateGrad(aid, std::move(g));
                  });
 }
 
@@ -573,11 +650,11 @@ Var RowDot(Var a, Var b) {
   const int aid = a.id(), bid = b.id();
   const bool ng = t->NeedsGrad(aid) || t->NeedsGrad(bid);
   return t->Emit(graphaug::RowDot(a.value(), b.value()), ng,
-                 [aid, bid](Tape* t, const Matrix& up) {
+                 [aid, bid](Tape* t, Matrix& up) {
                    const Matrix& av = t->ValueOf(aid);
                    const Matrix& bv = t->ValueOf(bid);
                    auto scatter = [&](int target, const Matrix& other) {
-                     Matrix g(other.rows(), other.cols());
+                     Matrix g = Matrix::Uninit(other.rows(), other.cols());
                      for (int64_t r = 0; r < g.rows(); ++r) {
                        const float s = up[r];
                        const float* orow = other.row(r);
@@ -586,7 +663,7 @@ Var RowDot(Var a, Var b) {
                          grow[c] = s * orow[c];
                        }
                      }
-                     t->AccumulateGrad(target, g);
+                     t->AccumulateGrad(target, std::move(g));
                    };
                    if (t->NeedsGrad(aid)) scatter(aid, bv);
                    if (t->NeedsGrad(bid)) scatter(bid, av);
@@ -611,15 +688,15 @@ Var LogSumExpRows(Var a) {
   }
   auto lse = std::make_shared<Matrix>(y);
   return t->Emit(std::move(y), t->NeedsGrad(aid),
-                 [aid, lse](Tape* t, const Matrix& up) {
+                 [aid, lse](Tape* t, Matrix& up) {
                    const Matrix& x = t->ValueOf(aid);
-                   Matrix g(x.rows(), x.cols());
+                   Matrix g = Matrix::Uninit(x.rows(), x.cols());
                    const simd::KernelTable& kt = simd::ActiveKernels();
                    for (int64_t r = 0; r < x.rows(); ++r) {
                      kt.exp_scale(x.row(r), (*lse)[r], up[r], g.row(r),
                                   x.cols());
                    }
-                   t->AccumulateGrad(aid, g);
+                   t->AccumulateGrad(aid, std::move(g));
                  });
 }
 
@@ -640,7 +717,7 @@ Var RowL2Normalize(Var a, float eps) {
   auto norm_ptr = std::make_shared<Matrix>(std::move(norms));
   auto y_ptr = std::make_shared<Matrix>(y);
   return t->Emit(std::move(y), t->NeedsGrad(aid),
-                 [aid, norm_ptr, y_ptr](Tape* t, const Matrix& up) {
+                 [aid, norm_ptr, y_ptr](Tape* t, Matrix& up) {
                    // dx = (du - y * (y . du)) / ||x||
                    const Matrix& y = *y_ptr;
                    Matrix g(y.rows(), y.cols());
@@ -657,7 +734,7 @@ Var RowL2Normalize(Var a, float eps) {
                        gr[c] = (ur[c] - yr[c] * static_cast<float>(dot)) * inv;
                      }
                    }
-                   t->AccumulateGrad(aid, g);
+                   t->AccumulateGrad(aid, std::move(g));
                  });
 }
 

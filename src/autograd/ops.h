@@ -73,6 +73,13 @@ Var AddRowBroadcast(Var a, Var row);
 Var MulRowBroadcast(Var a, Var row);
 /// Multiplies row r of a (n x d) matrix by scalar col[r] of a (n x 1) vector.
 Var MulColBroadcast(Var a, Var col);
+/// Mixes a (n x d) matrix with constant noise under a (1 x d) mask:
+///   y = h ⊙ m + ε ⊙ (1 − m),  m broadcast over the rows.
+/// One node with one (n x d) output; the op owns `eps`. Bitwise equal to
+/// Add(MulRowBroadcast(h, m),
+///     MulRowBroadcast(Constant(ε), AddScalar(Neg(m), 1))),
+/// values and gradients alike — the edge scorer's disturb step (Eq. 4).
+Var MaskedNoiseMix(Var h, Var mask, Matrix eps);
 
 // ------------------------------------------------------------ reductions
 /// Mean over all elements -> (1 x 1).

@@ -5,8 +5,7 @@
 
 namespace graphaug {
 
-Var Tape::Emit(Matrix value, bool needs_grad,
-               std::function<void(Tape*, const Matrix&)> backward) {
+Var Tape::Emit(Matrix value, bool needs_grad, BackwardFn backward) {
   Node node;
   node.value = std::move(value);
   node.backward = std::move(backward);
@@ -46,23 +45,30 @@ void Tape::Backward(Var root) {
     obs::Scope scope(node.op, obs::ScopeKind::kBackward);
 #endif
     node.backward(this, node.grad);
+    // The closure owned the gradient; free whatever it did not move on.
+    node.grad = Matrix();
+    node.has_grad = false;
   }
 }
 
 void Tape::Reset() { nodes_.clear(); }
 
-void Tape::AccumulateGrad(int id, const Matrix& g) {
+template <typename M>
+void Tape::Accumulate(int id, M&& g) {
   Node& node = nodes_[static_cast<size_t>(id)];
   if (!node.needs_grad) return;
   GA_CHECK(g.SameShape(node.value))
       << "gradient shape " << g.ShapeString() << " vs value "
       << node.value.ShapeString();
   if (!node.has_grad) {
-    node.grad = g;
+    node.grad = std::forward<M>(g);
     node.has_grad = true;
   } else {
     AddInPlace(&node.grad, g);
   }
 }
+
+template void Tape::Accumulate<const Matrix&>(int, const Matrix&);
+template void Tape::Accumulate<Matrix>(int, Matrix&&);
 
 }  // namespace graphaug

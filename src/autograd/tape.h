@@ -2,6 +2,7 @@
 #define GRAPHAUG_AUTOGRAD_TAPE_H_
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "autograd/param.h"
@@ -49,12 +50,16 @@ class Tape {
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
-  /// Appends a node holding `value`. `backward` (may be empty for
-  /// constants) receives the node's accumulated upstream gradient and must
-  /// route it to the inputs via AccumulateGrad / parameter grads.
-  /// `needs_grad` marks whether any ancestor is trainable.
-  Var Emit(Matrix value, bool needs_grad,
-           std::function<void(Tape*, const Matrix&)> backward);
+  /// Backward closure of one node: receives the node's accumulated
+  /// upstream gradient and routes it to the inputs via AccumulateGrad /
+  /// parameter grads. The gradient buffer belongs to the closure: nothing
+  /// reads it afterwards, so the closure may overwrite it in place or
+  /// move it into an input's accumulator.
+  using BackwardFn = std::function<void(Tape*, Matrix&)>;
+
+  /// Appends a node holding `value`. `backward` may be empty for
+  /// constants. `needs_grad` marks whether any ancestor is trainable.
+  Var Emit(Matrix value, bool needs_grad, BackwardFn backward);
 
   /// Creates a leaf node reading a parameter's current value; gradients
   /// accumulate into `param->grad`.
@@ -84,20 +89,22 @@ class Tape {
     return nodes_[static_cast<size_t>(id)].needs_grad;
   }
 
-  /// Adds `g` into the gradient accumulator of node `id`; allocates the
-  /// accumulator on first use. No-op for nodes that don't need gradients.
-  void AccumulateGrad(int id, const Matrix& g);
-
-  /// Gradient accumulated at node `id` so far (empty matrix if none).
-  const Matrix& GradOf(int id) const {
-    return nodes_[static_cast<size_t>(id)].grad;
-  }
+  /// Adds `g` into the gradient accumulator of node `id`; the first
+  /// gradient to arrive becomes the accumulator. No-op for nodes that
+  /// don't need gradients. The rvalue overload moves `g` in on first
+  /// arrival instead of copying it; it leaves `g` untouched when the node
+  /// needs no gradient.
+  void AccumulateGrad(int id, const Matrix& g) { Accumulate(id, g); }
+  void AccumulateGrad(int id, Matrix&& g) { Accumulate(id, std::move(g)); }
 
  private:
+  template <typename M>
+  void Accumulate(int id, M&& g);
+
   struct Node {
     Matrix value;
-    Matrix grad;  // lazily allocated
-    std::function<void(Tape*, const Matrix&)> backward;
+    Matrix grad;  // set by the first AccumulateGrad, released by Backward
+    BackwardFn backward;
     /// Op type that emitted this node (the innermost op scope's name,
     /// obs/scope.h), for backward-pass attribution. Nullptr when emitted
     /// outside any op scope.

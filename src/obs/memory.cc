@@ -125,6 +125,22 @@ int64_t PeakRssBytes() {
 #endif
 }
 
+ProcessUsage ReadProcessUsage() {
+  ProcessUsage u;
+#if defined(__linux__) || defined(__APPLE__)
+  struct rusage ru;
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return u;
+  auto seconds = [](const struct timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  u.minor_faults = static_cast<int64_t>(ru.ru_minflt);
+  u.user_cpu_s = seconds(ru.ru_utime);
+  u.sys_cpu_s = seconds(ru.ru_stime);
+#endif
+  return u;
+}
+
 // ------------------------------------------------------------ RssSampler
 
 namespace {
@@ -204,6 +220,7 @@ int64_t RssSampler::SampleCount() const {
 // ---------------------------------------------------------------- export
 
 std::string MemoryJson() {
+  const ProcessUsage usage = ReadProcessUsage();
   std::ostringstream os;
   os << "{\"live_bytes\": " << LiveBytes()
      << ", \"peak_bytes\": " << PeakBytes()
@@ -212,6 +229,9 @@ std::string MemoryJson() {
      << ", \"free_count\": " << FreeCount()
      << ", \"rss_bytes\": " << CurrentRssBytes()
      << ", \"rss_peak_bytes\": " << PeakRssBytes()
+     << ", \"minor_faults\": " << usage.minor_faults
+     << ", \"user_cpu_s\": " << JsonNumber(usage.user_cpu_s)
+     << ", \"sys_cpu_s\": " << JsonNumber(usage.sys_cpu_s)
      << ", \"rss_sampled_peak_bytes\": "
      << RssSampler::Get().SampledPeakBytes() << ", \"tags\": {";
   bool first = true;

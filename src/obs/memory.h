@@ -30,6 +30,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/config.h"
@@ -84,6 +86,18 @@ int64_t CurrentRssBytes();
 /// Lifetime peak RSS in bytes (getrusage ru_maxrss), or 0.
 int64_t PeakRssBytes();
 
+/// Process-lifetime counters from getrusage(RUSAGE_SELF): minor page
+/// faults and user/system CPU seconds, all threads included. Zeros when
+/// unavailable. Many minor faults with high system time mean the
+/// allocator keeps returning freed buffers to the kernel and faulting
+/// them back in, a cost the tracked-bytes counters cannot show.
+struct ProcessUsage {
+  int64_t minor_faults = 0;
+  double user_cpu_s = 0;
+  double sys_cpu_s = 0;
+};
+ProcessUsage ReadProcessUsage();
+
 /// Background RSS poller: samples CurrentRssBytes() every `period_ms`
 /// and tracks the max, catching spikes between epoch boundaries. The
 /// sampling thread only reads /proc — it cannot perturb training.
@@ -111,7 +125,8 @@ std::string MemoryJson();
 
 /// Minimal-overhead tracking allocator: std::allocator<T> plus the
 /// RecordAlloc/RecordFree hooks. Stateless, so containers using it are
-/// layout- and behavior-identical to std::allocator ones.
+/// layout-identical to std::allocator ones; the one behavioral difference
+/// is that resize(n) default-initializes (see construct below).
 template <typename T>
 struct TrackingAllocator {
   using value_type = T;
@@ -127,6 +142,18 @@ struct TrackingAllocator {
   void deallocate(T* p, size_t n) {
     RecordFree(n * sizeof(T));
     std::allocator<T>().deallocate(p, n);
+  }
+
+  /// Default-initializes instead of value-initializing, so resize(n)
+  /// leaves trivial elements unwritten (Matrix::Uninit). Every other
+  /// construction (fill, copy, range) forwards as usual.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 };
 

@@ -104,12 +104,15 @@ std::string AsciiReport() {
                        2);
   }
   os << "\n";
+  const ProcessUsage usage = ReadProcessUsage();
   os << "Memory: live " << FormatDouble(LiveBytes() / (1024.0 * 1024.0), 2)
      << " MiB, peak " << FormatDouble(PeakBytes() / (1024.0 * 1024.0), 2)
      << " MiB tracked (" << AllocCount() << " allocs), rss "
      << FormatDouble(CurrentRssBytes() / (1024.0 * 1024.0), 2)
      << " MiB (peak " << FormatDouble(PeakRssBytes() / (1024.0 * 1024.0), 2)
-     << " MiB)\n";
+     << " MiB), " << usage.minor_faults << " minor faults, cpu user "
+     << FormatDouble(usage.user_cpu_s, 2) << " s sys "
+     << FormatDouble(usage.sys_cpu_s, 2) << " s\n";
   if (PerfCountersProbeFailed()) {
     os << "Perf counters: unavailable (perf_event_open denied)\n";
   }

@@ -65,7 +65,10 @@ std::string ReportFooterJson(const ReportFooter& f) {
   oss << "},\"best_epoch\":" << f.best_epoch
       << ",\"train_seconds\":" << JsonNumber(f.train_seconds)
       << ",\"peak_bytes\":" << f.peak_bytes
-      << ",\"rss_peak_bytes\":" << f.rss_peak_bytes << ",\"counters\":{";
+      << ",\"rss_peak_bytes\":" << f.rss_peak_bytes
+      << ",\"minor_faults\":" << f.minor_faults
+      << ",\"user_cpu_s\":" << JsonNumber(f.user_cpu_s)
+      << ",\"sys_cpu_s\":" << JsonNumber(f.sys_cpu_s) << ",\"counters\":{";
   first = true;
   for (const auto& [k, v] : f.counters) {
     if (!first) oss << ",";

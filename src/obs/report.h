@@ -55,6 +55,9 @@ struct ReportFooter {
   double train_seconds = 0;
   int64_t peak_bytes = 0;      ///< tracked high-water mark of the run
   int64_t rss_peak_bytes = 0;  ///< OS-level peak RSS (getrusage / sampler)
+  int64_t minor_faults = 0;    ///< process minor page faults (getrusage)
+  double user_cpu_s = 0;       ///< process user CPU seconds (getrusage)
+  double sys_cpu_s = 0;        ///< process system CPU seconds (getrusage)
   /// Totals of every registered obs counter at run end.
   std::map<std::string, int64_t> counters;
 };

@@ -2,6 +2,7 @@
 #define GRAPHAUG_TENSOR_MATRIX_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,23 @@ class Matrix {
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows * cols), 0.f) {
     GA_CHECK_GE(rows, 0);
     GA_CHECK_GE(cols, 0);
+  }
+
+  /// rows x cols matrix whose elements are left unwritten, for outputs
+  /// that the caller overwrites in full before any read. Saves the zero
+  /// pass over the buffer. Builds without NDEBUG fill it with quiet NaN,
+  /// so a read-before-write surfaces as NaN in the Debug test suite.
+  static Matrix Uninit(int64_t rows, int64_t cols) {
+    GA_CHECK_GE(rows, 0);
+    GA_CHECK_GE(cols, 0);
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_.resize(static_cast<size_t>(rows * cols));  // default-init
+#ifndef NDEBUG
+    m.Fill(std::numeric_limits<float>::quiet_NaN());
+#endif
+    return m;
   }
 
   /// rows x cols matrix filled with `fill`.

@@ -150,7 +150,7 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 
 Matrix Add(const Matrix& a, const Matrix& b) {
   GA_CHECK(a.SameShape(b)) << a.ShapeString() << " vs " << b.ShapeString();
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::Uninit(a.rows(), a.cols());
   const simd::KernelTable& kt = simd::ActiveKernels();
   ParallelFor(0, a.size(), kElemGrain, [&](int64_t i0, int64_t i1) {
     kt.add(a.data() + i0, b.data() + i0, out.data() + i0, i1 - i0);
@@ -160,7 +160,7 @@ Matrix Add(const Matrix& a, const Matrix& b) {
 
 Matrix Sub(const Matrix& a, const Matrix& b) {
   GA_CHECK(a.SameShape(b));
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::Uninit(a.rows(), a.cols());
   const simd::KernelTable& kt = simd::ActiveKernels();
   ParallelFor(0, a.size(), kElemGrain, [&](int64_t i0, int64_t i1) {
     kt.sub(a.data() + i0, b.data() + i0, out.data() + i0, i1 - i0);
@@ -170,7 +170,7 @@ Matrix Sub(const Matrix& a, const Matrix& b) {
 
 Matrix Mul(const Matrix& a, const Matrix& b) {
   GA_CHECK(a.SameShape(b));
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::Uninit(a.rows(), a.cols());
   const simd::KernelTable& kt = simd::ActiveKernels();
   ParallelFor(0, a.size(), kElemGrain, [&](int64_t i0, int64_t i1) {
     kt.mul(a.data() + i0, b.data() + i0, out.data() + i0, i1 - i0);
@@ -179,7 +179,7 @@ Matrix Mul(const Matrix& a, const Matrix& b) {
 }
 
 Matrix Scale(const Matrix& a, float s) {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::Uninit(a.rows(), a.cols());
   const simd::KernelTable& kt = simd::ActiveKernels();
   ParallelFor(0, a.size(), kElemGrain, [&](int64_t i0, int64_t i1) {
     kt.scale(a.data() + i0, s, out.data() + i0, i1 - i0);
@@ -302,7 +302,7 @@ Matrix Transpose(const Matrix& a) {
 
 Matrix ConcatCols(const Matrix& a, const Matrix& b) {
   GA_CHECK_EQ(a.rows(), b.rows());
-  Matrix out(a.rows(), a.cols() + b.cols());
+  Matrix out = Matrix::Uninit(a.rows(), a.cols() + b.cols());
   for (int64_t r = 0; r < a.rows(); ++r) {
     std::copy(a.row(r), a.row(r) + a.cols(), out.row(r));
     std::copy(b.row(r), b.row(r) + b.cols(), out.row(r) + a.cols());
@@ -321,7 +321,7 @@ Matrix ConcatRows(const Matrix& a, const Matrix& b) {
 Matrix SliceCols(const Matrix& a, int64_t start, int64_t len) {
   GA_CHECK_GE(start, 0);
   GA_CHECK_LE(start + len, a.cols());
-  Matrix out(a.rows(), len);
+  Matrix out = Matrix::Uninit(a.rows(), len);
   for (int64_t r = 0; r < a.rows(); ++r) {
     std::copy(a.row(r) + start, a.row(r) + start + len, out.row(r));
   }
@@ -337,7 +337,7 @@ Matrix SliceRows(const Matrix& a, int64_t start, int64_t len) {
 }
 
 Matrix GatherRows(const Matrix& a, const std::vector<int32_t>& idx) {
-  Matrix out(static_cast<int64_t>(idx.size()), a.cols());
+  Matrix out = Matrix::Uninit(static_cast<int64_t>(idx.size()), a.cols());
   const int64_t n = static_cast<int64_t>(idx.size());
   ParallelFor(0, n, RowGrain(a.cols()), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {

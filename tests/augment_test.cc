@@ -61,6 +61,10 @@ bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
+std::vector<float> Flat(const Matrix& m) {
+  return std::vector<float>(m.data(), m.data() + m.size());
+}
+
 std::vector<int32_t> OffsetItems(const std::vector<int32_t>& items,
                                  int32_t offset) {
   std::vector<int32_t> out(items.size());
@@ -263,6 +267,108 @@ TEST(GoldenParity, EdgeDropThroughInterfaceMatchesFrozenSgl) {
 }
 
 // ------------------------------------------------ thread determinism
+
+/// Frozen replica of EdgeScorer before its disturb step became one fused
+/// op: the same parameters, created in the same order from the same Rng,
+/// and the seven-node composed graph per side (Sigmoid → MulRowBroadcast,
+/// Neg → AddScalar → MulRowBroadcast(Constant ε) → Add).
+class FrozenEdgeScorer {
+ public:
+  FrozenEdgeScorer(ParamStore* store, const std::string& name, int dim,
+                   Rng* rng, float noise_stddev)
+      : noise_stddev_(noise_stddev),
+        user_mask_(store->Create(name + ".user_mask", 1, dim)),
+        item_mask_(store->Create(name + ".item_mask", 1, dim)),
+        mlp_(store, name + ".mlp", {2 * static_cast<int64_t>(dim), dim, 1},
+             rng, Activation::kLeakyRelu) {
+    user_mask_->value.Fill(2.f);
+    item_mask_->value.Fill(2.f);
+    mlp_.layers().back().bias()->value.Fill(1.5f);
+  }
+
+  Var Score(Tape* tape, Var node_embeddings, const std::vector<Edge>& edges,
+            int32_t item_offset, Rng* rng) const {
+    std::vector<int32_t> user_rows(edges.size());
+    std::vector<int32_t> item_rows(edges.size());
+    for (size_t e = 0; e < edges.size(); ++e) {
+      user_rows[e] = edges[e].user;
+      item_rows[e] = item_offset + edges[e].item;
+    }
+    Var hu = ag::GatherRows(node_embeddings, std::move(user_rows));
+    Var hv = ag::GatherRows(node_embeddings, std::move(item_rows));
+    auto disturb = [&](Var h, Parameter* mask_param) {
+      Var m = ag::Sigmoid(ag::Leaf(tape, mask_param));
+      Var hm = ag::MulRowBroadcast(h, m);
+      if (rng == nullptr || noise_stddev_ <= 0.f) return hm;
+      Matrix eps(h.rows(), h.cols());
+      FillNormal(&eps, rng->NextU64(), 0.f, noise_stddev_);
+      Var one_minus_m = ag::AddScalar(ag::Neg(m), 1.f);
+      Var noise =
+          ag::MulRowBroadcast(ag::Constant(tape, std::move(eps)), one_minus_m);
+      return ag::Add(hm, noise);
+    };
+    Var tu = disturb(hu, user_mask_);
+    Var tv = disturb(hv, item_mask_);
+    return ag::Sigmoid(mlp_.Forward(tape, ag::ConcatCols(tu, tv)));
+  }
+
+ private:
+  float noise_stddev_;
+  Parameter* user_mask_;
+  Parameter* item_mask_;
+  Mlp mlp_;
+};
+
+TEST(EdgeScorerParity, MatchesFrozenComposedGraphBitwise) {
+  const int dim = 13;  // odd, so no SIMD width divides it
+  const int32_t users = 9, items = 11;
+  Rng edge_rng(3);
+  std::vector<Edge> edges;
+  for (int e = 0; e < 41; ++e) {  // duplicates included
+    edges.push_back({static_cast<int32_t>(edge_rng.UniformInt(users)),
+                     static_cast<int32_t>(edge_rng.UniformInt(items))});
+  }
+  for (const bool noisy : {true, false}) {
+    ParamStore store_new, store_old;
+    Rng init_new(21), init_old(21);
+    Parameter* emb_new =
+        store_new.CreateNormal("emb", users + items, dim, &init_new, 0.5f);
+    Parameter* emb_old =
+        store_old.CreateNormal("emb", users + items, dim, &init_old, 0.5f);
+    EdgeScorer scorer(&store_new, "s", dim, &init_new, 0.1f);
+    FrozenEdgeScorer frozen(&store_old, "s", dim, &init_old, 0.1f);
+    ASSERT_EQ(store_new.params().size(), store_old.params().size());
+    ASSERT_TRUE(BitwiseEqual(AllParamValues(&store_new),
+                             AllParamValues(&store_old)));
+
+    Matrix w(static_cast<int64_t>(edges.size()), 1);
+    FillNormal(&w, 99, 0.f, 1.f);
+    Rng noise_new(8), noise_old(8);
+    store_new.ZeroGrad();
+    store_old.ZeroGrad();
+    Tape tape_new, tape_old;
+    Var p_new = scorer.Score(&tape_new, ag::Leaf(&tape_new, emb_new), edges,
+                             users, noisy ? &noise_new : nullptr);
+    Var p_old = frozen.Score(&tape_old, ag::Leaf(&tape_old, emb_old), edges,
+                             users, noisy ? &noise_old : nullptr);
+    EXPECT_TRUE(BitwiseEqual(Flat(p_new.value()), Flat(p_old.value())))
+        << "noisy=" << noisy;
+    tape_new.Backward(
+        ag::SumAll(ag::Mul(p_new, ag::Constant(&tape_new, w))));
+    tape_old.Backward(
+        ag::SumAll(ag::Mul(p_old, ag::Constant(&tape_old, w))));
+    for (size_t i = 0; i < store_new.params().size(); ++i) {
+      const Parameter* a = store_new.params()[i];
+      const Parameter* b = store_old.params()[i];
+      ASSERT_EQ(a->name, b->name);
+      EXPECT_TRUE(BitwiseEqual(Flat(a->grad), Flat(b->grad)))
+          << a->name << " noisy=" << noisy;
+      EXPECT_GT(MaxAbs(a->grad), 0.f) << a->name;
+    }
+    // Both sides drew the same keys.
+    EXPECT_EQ(noise_new.NextU64(), noise_old.NextU64());
+  }
+}
 
 TEST(AugmentorDeterminism, AllStrategiesBitwiseAtAnyThreadCount) {
   const SyntheticData& data = GeneratePreset("tiny");

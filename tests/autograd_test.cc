@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 
 #include "autograd/grad_check.h"
@@ -171,6 +172,86 @@ TEST_F(OpFixture, BroadcastGradients) {
           ag::MulColBroadcast(ag::Leaf(t, a), ag::Leaf(t, col))));
     });
     EXPECT_TRUE(res.ok) << "MulColBroadcast";
+  }
+}
+
+// ------------------------------------------------- fused masked-noise mix
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+struct MixResult {
+  Matrix y, dh, dlogits;
+};
+
+/// One disturb step, h ⊙ σ(logits) + ε ⊙ (1 − σ(logits)), either through
+/// MaskedNoiseMix or through the composed graph it replaces, with the
+/// output's gradient seeded to w.
+MixResult RunMix(Parameter* h, Parameter* logits, const Matrix& eps,
+                 const Matrix& w, bool fused) {
+  h->ZeroGrad();
+  logits->ZeroGrad();
+  Tape tape;
+  Var hv = ag::Leaf(&tape, h);
+  Var m = ag::Sigmoid(ag::Leaf(&tape, logits));
+  Var y;
+  if (fused) {
+    y = ag::MaskedNoiseMix(hv, m, eps);
+  } else {
+    Var hm = ag::MulRowBroadcast(hv, m);
+    Var one_minus_m = ag::AddScalar(ag::Neg(m), 1.f);
+    y = ag::Add(hm, ag::MulRowBroadcast(ag::Constant(&tape, eps),
+                                        one_minus_m));
+  }
+  MixResult r{y.value(), Matrix(), Matrix()};
+  tape.Backward(ag::SumAll(ag::Mul(y, ag::Constant(&tape, w))));
+  r.dh = h->grad;
+  r.dlogits = logits->grad;
+  return r;
+}
+
+TEST_F(OpFixture, MaskedNoiseMixMatchesComposedGraphBitwise) {
+  // Odd shape: no SIMD width or chunk size divides it.
+  const int64_t n = 37, d = 33;
+  Parameter* h = MakeParam(n, d);
+  Parameter* logits = MakeParam(1, d, 2.f);
+  Matrix eps(n, d);
+  FillNormal(&eps, 0x5eedULL, 0.f, 0.1f);
+  Matrix w(n, d);
+  FillNormal(&w, 0xfeedULL, 0.f, 1.f);
+  // Both inputs trainable, then each one frozen: every backward branch.
+  for (int frozen = 0; frozen < 3; ++frozen) {
+    h->trainable = frozen != 1;
+    logits->trainable = frozen != 2;
+    const MixResult fused = RunMix(h, logits, eps, w, true);
+    const MixResult composed = RunMix(h, logits, eps, w, false);
+    EXPECT_TRUE(SameBits(fused.y, composed.y)) << frozen;
+    EXPECT_TRUE(SameBits(fused.dh, composed.dh)) << frozen;
+    EXPECT_TRUE(SameBits(fused.dlogits, composed.dlogits)) << frozen;
+    if (frozen != 1) {
+      EXPECT_GT(MaxAbs(fused.dh), 0.f);
+    }
+    if (frozen != 2) {
+      EXPECT_GT(MaxAbs(fused.dlogits), 0.f);
+    }
+  }
+  h->trainable = logits->trainable = true;
+}
+
+TEST_F(OpFixture, MaskedNoiseMixGradient) {
+  Parameter* h = MakeParam(5, 4);
+  Parameter* logits = MakeParam(1, 4);
+  Matrix eps(5, 4);
+  FillNormal(&eps, 42, 0.f, 0.5f);
+  for (Parameter* target : {h, logits}) {
+    GradCheckResult res = CheckGradient(target, [&](Tape* t) {
+      Var m = ag::Sigmoid(ag::Leaf(t, logits));
+      return ag::MeanAll(
+          ag::Square(ag::MaskedNoiseMix(ag::Leaf(t, h), m, eps)));
+    });
+    EXPECT_TRUE(res.ok) << res.max_abs_error;
   }
 }
 

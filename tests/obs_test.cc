@@ -586,6 +586,45 @@ TEST_F(ObsTest, SamplingProfilerSamplesPoolWorkersWithInheritedTags) {
 
 // ----------------------------------------------------------- run reports
 
+TEST_F(ObsTest, ProcessUsageReachesMemoryJsonFooterAndReport) {
+  const obs::ProcessUsage before = obs::ReadProcessUsage();
+  {
+    // Touch fresh pages so the fault counter has to move.
+    std::vector<char> buf(8 << 20, 1);
+    volatile char sink = buf[buf.size() - 1];
+    (void)sink;
+  }
+  const obs::ProcessUsage after = obs::ReadProcessUsage();
+#if defined(__linux__)
+  EXPECT_GT(after.minor_faults, before.minor_faults);
+  EXPECT_GT(after.user_cpu_s + after.sys_cpu_s, 0.0);
+#endif
+  EXPECT_GE(after.user_cpu_s, before.user_cpu_s);
+  EXPECT_GE(after.sys_cpu_s, before.sys_cpu_s);
+
+  std::string err;
+  const std::string mem = obs::MemoryJson();
+  EXPECT_TRUE(obs::JsonLint(mem, &err)) << err;
+  for (const char* key :
+       {"\"minor_faults\"", "\"user_cpu_s\"", "\"sys_cpu_s\""}) {
+    EXPECT_NE(mem.find(key), std::string::npos) << key;
+  }
+
+  obs::ReportFooter f;
+  f.minor_faults = 34000;
+  f.user_cpu_s = 5.5;
+  f.sys_cpu_s = 0.25;
+  const std::string footer = obs::ReportFooterJson(f);
+  EXPECT_TRUE(obs::JsonLint(footer, &err)) << footer << ": " << err;
+  EXPECT_NE(footer.find("\"minor_faults\":34000"), std::string::npos);
+  EXPECT_NE(footer.find("\"user_cpu_s\":5.5"), std::string::npos);
+  EXPECT_NE(footer.find("\"sys_cpu_s\":0.25"), std::string::npos);
+
+  const std::string report = obs::AsciiReport();
+  EXPECT_NE(report.find(" minor faults, cpu user "), std::string::npos)
+      << report;
+}
+
 TEST_F(ObsTest, RunReportWriterEmitsValidJsonl) {
   const std::string path =
       ::testing::TempDir() + "/obs_test_report.jsonl";

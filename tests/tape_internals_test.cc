@@ -1,8 +1,11 @@
 // White-box tests of the autograd tape machinery: gradient-need
 // propagation and pruning, constant handling, leaf accumulation across
-// multiple uses, tape reuse, and shape policing.
+// multiple uses, tape reuse, shape policing, and gradient-buffer
+// ownership (closures that consume their upstream gradient).
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "autograd/ops.h"
 #include "data/dataset.h"
@@ -109,6 +112,134 @@ TEST(TapeInternalsTest, ShapeMismatchInAccumulateAborts) {
   Tape tape;
   Var leaf = tape.Leaf(p);
   EXPECT_DEATH(tape.AccumulateGrad(leaf.id(), Matrix(3, 3)), "shape");
+}
+
+/// (rows x cols) matrix of distinct, non-trivial values.
+Matrix Ramp(int64_t rows, int64_t cols, float scale) {
+  Matrix m(rows, cols);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    m[i] = scale * static_cast<float>(i % 7 - 3) + 0.125f * i;
+  }
+  return m;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// sum(y ⊙ w): seeds node y's gradient with exactly w.
+Var WeightedSum(Tape* tape, Var y, const Matrix& w) {
+  return ag::SumAll(ag::Mul(y, tape->Constant(w)));
+}
+
+TEST(TapeInternalsTest, BothAccumulateOverloadsReportShapeMismatch) {
+  ParamStore store;
+  Parameter* p = store.Create("p", 2, 2);
+  Tape tape;
+  Var leaf = tape.Leaf(p);
+  Matrix g(3, 3);
+  EXPECT_DEATH(tape.AccumulateGrad(leaf.id(), std::move(g)),
+               "gradient shape \\[3x3\\] vs value \\[2x2\\]");
+  const Matrix& lvalue = g;
+  EXPECT_DEATH(tape.AccumulateGrad(leaf.id(), lvalue),
+               "gradient shape \\[3x3\\] vs value \\[2x2\\]");
+}
+
+TEST(TapeInternalsTest, AddOfSameNodeSumsBothSides) {
+  // Add(x, x) copies `up` into x, then adds the moved buffer.
+  const Matrix w = Ramp(3, 5, 0.5f);
+  ParamStore store;
+  Parameter* p = store.Create("p", 3, 5);
+  store.ZeroGrad();
+  {
+    Tape tape;
+    Var x = ag::Scale(tape.Leaf(p), 3.f);  // an interior node
+    tape.Backward(WeightedSum(&tape, ag::Add(x, x), w));
+  }
+  Matrix expected(3, 5);
+  for (int64_t i = 0; i < w.size(); ++i) expected[i] = (w[i] + w[i]) * 3.f;
+  EXPECT_TRUE(SameBits(p->grad, expected));
+
+  // The same with the leaf itself on both sides.
+  store.ZeroGrad();
+  Tape tape;
+  Var leaf = tape.Leaf(p);
+  tape.Backward(WeightedSum(&tape, ag::Add(leaf, leaf), w));
+  for (int64_t i = 0; i < w.size(); ++i) expected[i] = w[i] + w[i];
+  EXPECT_TRUE(SameBits(p->grad, expected));
+}
+
+TEST(TapeInternalsTest, PassThroughChainHandsGradientToLeaf) {
+  // Every op below forwards `up` unchanged to its first input, so the one
+  // buffer travels the whole chain and the leaf sees exactly w.
+  const Matrix w = Ramp(4, 3, -0.75f);
+  ParamStore store;
+  Parameter* p = store.Create("p", 4, 3);
+  Parameter* bias = store.Create("bias", 1, 3);
+  bias->trainable = false;
+  store.ZeroGrad();
+  Tape tape;
+  Var c = tape.Constant(Ramp(4, 3, 0.25f));
+  Var x = ag::AddScalar(tape.Leaf(p), 2.f);
+  x = ag::Add(x, c);
+  x = ag::Sub(x, c);
+  x = ag::AddRowBroadcast(x, tape.Leaf(bias));
+  x = ag::Add(c, x);
+  tape.Backward(WeightedSum(&tape, x, w));
+  EXPECT_TRUE(SameBits(p->grad, w));
+}
+
+TEST(TapeInternalsTest, NoGradTargetDoesNotConsumeBuffer) {
+  Tape tape;
+  Var c = tape.Constant(Matrix(2, 2, 1.f));
+  Matrix g(2, 2, 1.5f);
+  tape.AccumulateGrad(c.id(), std::move(g));
+  ASSERT_EQ(g.size(), 4);  // not moved from: the node needs no gradient
+  for (int64_t i = 0; i < g.size(); ++i) EXPECT_EQ(g[i], 1.5f);
+
+  // Through the ops: the no-grad side of each binary op must leave the
+  // gradient for the side that needs it.
+  const Matrix w = Ramp(2, 2, 1.f);
+  ParamStore store;
+  Parameter* p = store.Create("p", 2, 2);
+  for (int which = 0; which < 3; ++which) {
+    store.ZeroGrad();
+    Tape t2;
+    Var k = t2.Constant(Matrix(2, 2, 1.f));
+    Var x = t2.Leaf(p);
+    Var y = which == 0 ? ag::Add(k, x) : which == 1 ? ag::Add(x, k)
+                                                    : ag::Sub(k, x);
+    t2.Backward(WeightedSum(&t2, y, w));
+    for (int64_t i = 0; i < w.size(); ++i) {
+      EXPECT_EQ(p->grad[i], which == 2 ? -w[i] : w[i]) << which;
+    }
+  }
+}
+
+TEST(TapeInternalsTest, ThreeConsumersAccumulateInReverseOrder) {
+  // x feeds three ops; backward visits them newest first, so x's
+  // gradient is ((d3 + d2) + d1) with d1..d3 the per-consumer terms.
+  const Matrix w = Ramp(3, 4, 0.5f);
+  const Matrix k = Ramp(3, 4, -0.25f);
+  ParamStore store;
+  Parameter* p = store.Create("p", 3, 4);
+  p->value = Ramp(3, 4, 0.3f);
+  store.ZeroGrad();
+  Tape tape;
+  Var x = ag::Scale(tape.Leaf(p), 1.5f);
+  Var a = ag::Mul(x, tape.Constant(k));  // d1 = w * k
+  Var b = ag::Square(x);                 // d2 = w * 2x
+  Var c = ag::AddScalar(x, 1.f);         // d3 = w
+  Var y = ag::Add(ag::Add(a, b), c);
+  tape.Backward(WeightedSum(&tape, y, w));
+  const Matrix& xv = x.value();
+  Matrix expected(3, 4);
+  for (int64_t i = 0; i < w.size(); ++i) {
+    const float d1 = w[i] * k[i], d2 = w[i] * (2.f * xv[i]), d3 = w[i];
+    expected[i] = ((d3 + d2) + d1) * 1.5f;
+  }
+  EXPECT_TRUE(SameBits(p->grad, expected));
 }
 
 TEST(TapeInternalsTest, DeepChainGradientIsExact) {

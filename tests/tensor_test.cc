@@ -50,6 +50,21 @@ TEST(MatrixTest, ConstructionAndAccess) {
   EXPECT_FLOAT_EQ(MaxAbs(m), 0.f);
 }
 
+TEST(MatrixTest, UninitHasShapeAndDebugPoison) {
+  Matrix m = Matrix::Uninit(3, 5);
+  EXPECT_EQ(m.rows(), 3);
+  EXPECT_EQ(m.cols(), 5);
+  EXPECT_EQ(m.size(), 15);
+#ifndef NDEBUG
+  // Debug builds poison the buffer so a read-before-write shows as NaN.
+  for (int64_t i = 0; i < m.size(); ++i) EXPECT_TRUE(std::isnan(m[i]));
+#endif
+  EXPECT_TRUE(Matrix::Uninit(0, 4).empty());
+  // The default constructor still zero-fills.
+  Matrix z(4, 4);
+  for (int64_t i = 0; i < z.size(); ++i) EXPECT_EQ(z[i], 0.f);
+}
+
 TEST(MatrixTest, FromDataValidatesSize) {
   Matrix m(2, 2, std::vector<float>{1, 2, 3, 4});
   EXPECT_FLOAT_EQ(m.at(1, 0), 3.f);

@@ -266,6 +266,10 @@ int CmdTrain(const FlagParser& flags) {
     footer.peak_bytes = obs::PeakBytes();
     footer.rss_peak_bytes = std::max(
         obs::PeakRssBytes(), obs::RssSampler::Get().SampledPeakBytes());
+    const obs::ProcessUsage usage = obs::ReadProcessUsage();
+    footer.minor_faults = usage.minor_faults;
+    footer.user_cpu_s = usage.user_cpu_s;
+    footer.sys_cpu_s = usage.sys_cpu_s;
     footer.counters = obs::MetricsRegistry::Get().CounterSnapshot();
     report.WriteFooter(footer);
     if (!report.Close()) {
