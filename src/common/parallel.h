@@ -7,19 +7,23 @@
 namespace graphaug {
 
 /// Process-wide parallel runtime shared by every hot kernel (dense GEMM,
-/// SpMM, large elementwise maps, full-ranking evaluation). It wraps a
-/// lazily created global ThreadPool behind a deterministic ParallelFor /
-/// ParallelReduce API:
+/// SpMM, large elementwise maps, full-ranking evaluation). Behind a
+/// deterministic ParallelFor / ParallelReduce API sits one lazily built
+/// fork-join team: persistent workers that sleep between regions, joined
+/// by the dispatching thread, which runs chunks too.
 ///
 ///  * Static chunking. [begin, end) is split into fixed chunks of at most
 ///    `grain` indices; the decomposition depends only on the range and the
 ///    grain, never on the thread count. Kernels that write disjoint chunks
 ///    are bitwise reproducible at any thread count, and reductions merge
 ///    chunk partials in chunk order so they are too.
-///  * Serial fallback. Single-chunk ranges, a 1-thread configuration, and
-///    nested parallel regions (a ParallelFor issued from inside a pool
-///    worker) run inline on the calling thread — same chunk walk, same
-///    results, no dispatch overhead or deadlock.
+///  * Team width. min(NumThreads(), max(2, hardware_concurrency)) threads
+///    including the dispatcher; a region wakes at most one fewer worker
+///    than it has chunks.
+///  * Inline execution. Single-chunk ranges, a 1-thread configuration, a
+///    ParallelFor issued from inside a chunk, and a region dispatched from
+///    a second thread while the team is busy all run on the calling
+///    thread — same chunk walk, same results, no dispatch or deadlock.
 ///  * Thread-count resolution order: SetNumThreads() (wired to the
 ///    --threads flag in every binary) > GRAPHAUG_NUM_THREADS env var >
 ///    std::thread::hardware_concurrency().
@@ -31,7 +35,7 @@ namespace graphaug {
 int NumThreads();
 
 /// Overrides the thread count; n <= 0 restores automatic resolution. An
-/// existing pool of a different width is torn down (joining its workers)
+/// existing team of a different width is torn down (joining its workers)
 /// and lazily rebuilt — call only between parallel regions.
 void SetNumThreads(int n);
 
@@ -49,13 +53,9 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
 double ParallelReduce(int64_t begin, int64_t end, int64_t grain,
                       const std::function<double(int64_t, int64_t)>& chunk_fn);
 
-/// True while the calling thread is executing inside a parallel region
-/// (i.e. it is a pool worker); nested ParallelFor calls run serially.
-bool InParallelRegion();
-
 /// Registers process-wide worker lifecycle hooks: `on_start` runs on
-/// each pool worker thread right after it starts, `on_exit` right
-/// before it terminates (pool teardown on SetNumThreads). Used by the
+/// each team worker thread right after it starts, `on_exit` right
+/// before it terminates (team teardown on SetNumThreads). Used by the
 /// sampling profiler (src/obs/profiler) to enroll every worker for
 /// per-thread sample timers. Install before the first parallel region
 /// (static-init is fine); workers created earlier miss the start hook.
@@ -64,14 +64,14 @@ void SetWorkerThreadHooks(void (*on_start)(), void (*on_exit)());
 
 /// Observer that forwards an opaque per-region tag from the thread that
 /// dispatches a parallel region to the workers executing its chunks.
-/// `capture` runs once on the dispatching thread per pool region;
-/// `enter` runs on the executing thread around every chunk with the
-/// captured token and returns the value to restore; `exit` restores it.
-/// The obs layer (obs/scope.h) uses this to run every chunk under the
-/// dispatching thread's innermost scope, so profiler samples and
-/// allocations on workers carry its tag. All three callbacks must be
-/// cheap, non-blocking, and must not issue parallel regions; observation
-/// never changes chunking or results.
+/// `capture` runs once on the dispatching thread per team region;
+/// `enter` runs on the executing thread (a worker or the dispatcher)
+/// around every chunk with the captured token and returns the value to
+/// restore; `exit` restores it. The obs layer (obs/scope.h) uses this to
+/// run every chunk under the dispatching thread's innermost scope, so
+/// profiler samples and allocations on workers carry its tag. All three
+/// callbacks must be cheap, non-blocking, and must not issue parallel
+/// regions; observation never changes chunking or results.
 struct ParallelTagObserver {
   const void* (*capture)() = nullptr;
   const void* (*enter)(const void* token) = nullptr;
@@ -90,9 +90,9 @@ void ClearParallelTagObserver();
 /// chunk. The observability layer (src/obs) pulls this at export time —
 /// the runtime itself never depends on obs.
 struct ParallelStats {
-  int64_t pool_regions = 0;    ///< regions dispatched to the thread pool
+  int64_t pool_regions = 0;    ///< regions dispatched to the team
   int64_t serial_regions = 0;  ///< regions that ran inline on the caller
-  int64_t pool_chunks = 0;     ///< chunks executed via the pool
+  int64_t pool_chunks = 0;     ///< chunks executed via the team
   int64_t busy_ns = 0;   ///< summed per-chunk execution time (timed mode)
   int64_t wall_ns = 0;   ///< summed region wall time (timed mode)
 };

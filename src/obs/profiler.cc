@@ -290,8 +290,8 @@ void WorkerExitHook() {
   }
 }
 
-/// Installs the worker lifecycle hooks at static-init time, before any
-/// thread pool can be built. profiler.o is always part of the link
+/// Installs the worker lifecycle hooks at static-init time, before the
+/// parallel runtime's team can be built. profiler.o is always part of the link
 /// (obs.cc references ResetProfile), so this runs in every binary.
 [[maybe_unused]] const bool g_hooks_installed = [] {
   SetWorkerThreadHooks(&WorkerStartHook, &WorkerExitHook);

@@ -1,9 +1,8 @@
 // Tests for the common runtime: RNG determinism and statistical sanity,
-// table rendering, string utilities, thread pool, check macros.
+// table rendering, string utilities, check macros.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 
 #include "common/check.h"
@@ -11,7 +10,6 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 namespace graphaug {
 namespace {
@@ -107,23 +105,6 @@ TEST(StringUtilTest, SplitStripJoin) {
   EXPECT_FALSE(StartsWith("gr", "graph"));
   EXPECT_EQ(JoinStrings({"x", "y"}, ", "), "x, y");
   EXPECT_EQ(AsciiToLower("AbC"), "abc");
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(57);
-  pool.ParallelFor(57, [&hits](int64_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(StopwatchTest, MeasuresElapsed) {

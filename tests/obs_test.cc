@@ -127,7 +127,7 @@ TEST_F(ObsTest, RegistryReturnsStableObjects) {
   EXPECT_EQ(h2->bounds().size(), 2u);
 }
 
-TEST_F(ObsTest, CounterAtomicUnderThreadPool) {
+TEST_F(ObsTest, CounterAtomicUnderParallelFor) {
   const int prev_threads = NumThreads();
   SetNumThreads(4);
   obs::Counter* c = obs::MetricsRegistry::Get().GetCounter("test.atomic");

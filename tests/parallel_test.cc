@@ -1,23 +1,25 @@
 // Tests for the shared parallel runtime (common/parallel.h) and the
-// determinism contract of every parallelized kernel: pool stress, static
-// chunking coverage, and exact bitwise equality of serial vs. parallel
-// Gemm / Spmm / SpmmT / EdgeWeightedSpmm / FillNormal / evaluator outputs
-// at 1, 2, and 7 threads.
+// determinism contract of every parallelized kernel: the fork-join team
+// (static chunk walk, inline nested and concurrent dispatch, resize,
+// worker hooks), static chunking coverage, and exact bitwise equality of
+// serial vs. parallel Gemm / Spmm / SpmmT / EdgeWeightedSpmm / FillNormal /
+// evaluator outputs at 1, 2, and 7 threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
 #include "common/parallel.h"
-#include "common/thread_pool.h"
 #include "core/mixhop_encoder.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
@@ -29,9 +31,10 @@
 namespace graphaug {
 namespace {
 
-/// Every determinism test runs the kernel at these widths; 7 is prime and
-/// larger than the chunk count of some kernels, exercising the
-/// more-runners-than-chunks clamp.
+/// Every determinism test runs the kernel at these widths; 7 is prime,
+/// above the team's core-count width cap on narrow hosts, and larger than
+/// the chunk count of some kernels, exercising regions that wake fewer
+/// workers than the team has.
 const int kThreadCounts[] = {1, 2, 7};
 
 /// Restores automatic thread-count resolution when a test exits.
@@ -60,74 +63,155 @@ BipartiteGraph RandomGraph(int32_t users, int32_t items, int64_t edges,
   return BipartiteGraph(users, items, std::move(es));
 }
 
-// ------------------------------------------------------------- pool stress
+// -------------------------------------------------------- fork-join team
 
-TEST(ThreadPoolStressTest, NestedSubmitWaitAndReuse) {
-  ThreadPool pool(4);
-  // Wait on an empty pool returns immediately.
-  pool.Wait();
-
-  // Tasks that submit more tasks; Wait must cover the whole tree.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pool, &count] {
-      count.fetch_add(1);
-      for (int j = 0; j < 4; ++j) {
-        pool.Submit([&count] { count.fetch_add(1); });
-      }
-    });
+/// Spins until `arrived` reaches `n` (each caller adds one first), so `n`
+/// chunks of one region are forced onto `n` distinct threads. Returns
+/// false after a generous deadline instead of hanging the suite.
+bool ArriveAndWait(std::atomic<int>* arrived, int n) {
+  arrived->fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (arrived->load() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 8 * 5);
-
-  // The pool stays usable after a drained Wait.
-  for (int round = 0; round < 3; ++round) {
-    std::atomic<int> more{0};
-    for (int i = 0; i < 16; ++i) {
-      pool.Submit([&more] { more.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(more.load(), 16);
-  }
+  return true;
 }
 
-TEST(ThreadPoolStressTest, ParallelForCoversRangeInChunks) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(57);
-  pool.ParallelFor(57, [&hits](int64_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolStressTest, ParallelForRangeStaticChunks) {
-  ThreadPool pool(4);
-  // grain 10 over [3, 47) must yield chunk starts 3, 13, 23, 33, 43
-  // regardless of the pool width.
+TEST(ParallelTeamTest, StaticChunkWalkAtWidthFour) {
+  ThreadCountGuard guard;
+  SetNumThreads(4);
+  // grain 10 over [3, 47) must yield exactly these chunks, each once,
+  // whichever team thread claims them.
   std::mutex mu;
   std::vector<std::pair<int64_t, int64_t>> chunks;
-  pool.ParallelForRange(3, 47, 10, [&](int64_t b, int64_t e) {
+  ParallelFor(3, 47, 10, [&](int64_t b, int64_t e) {
     std::lock_guard<std::mutex> lock(mu);
     chunks.push_back({b, e});
   });
   std::sort(chunks.begin(), chunks.end());
-  ASSERT_EQ(chunks.size(), 5u);
-  EXPECT_EQ(chunks.front().first, 3);
-  EXPECT_EQ(chunks.back().second, 47);
-  for (size_t i = 0; i + 1 < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].second, chunks[i + 1].first);
-    EXPECT_EQ(chunks[i].second - chunks[i].first, 10);
+  const std::vector<std::pair<int64_t, int64_t>> want = {
+      {3, 13}, {13, 23}, {23, 33}, {33, 43}, {43, 47}};
+  EXPECT_EQ(chunks, want);
+}
+
+TEST(ParallelTeamTest, NestedRegionRunsInlineOnWorkerAndDispatcher) {
+  ThreadCountGuard guard;
+  SetNumThreads(4);
+  const std::thread::id dispatcher = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<bool> met{true};
+  std::thread::id outer_thread[2];
+  std::vector<int64_t> inner_order[2];
+  std::vector<std::thread::id> inner_thread[2];
+  ParallelFor(0, 2, 1, [&](int64_t b, int64_t) {
+    // Both chunks wait for each other, so one runs on the dispatcher and
+    // the other on a worker.
+    if (!ArriveAndWait(&arrived, 2)) met = false;
+    outer_thread[b] = std::this_thread::get_id();
+    ParallelFor(0, 6, 1, [&](int64_t ib, int64_t) {
+      inner_order[b].push_back(ib);
+      inner_thread[b].push_back(std::this_thread::get_id());
+    });
+  });
+  ASSERT_TRUE(met.load());
+  EXPECT_NE(outer_thread[0], outer_thread[1]);
+  EXPECT_TRUE(outer_thread[0] == dispatcher || outer_thread[1] == dispatcher);
+  for (int b = 0; b < 2; ++b) {
+    // Inline means: every inner chunk on the outer chunk's thread, in
+    // chunk order.
+    EXPECT_EQ(inner_order[b], (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
+    for (const std::thread::id& id : inner_thread[b]) {
+      EXPECT_EQ(id, outer_thread[b]);
+    }
   }
 }
 
-TEST(ThreadPoolStressTest, NestedParallelForRunsSerially) {
-  ThreadPool pool(4);
-  std::atomic<int> inner_total{0};
-  pool.ParallelForRange(0, 8, 1, [&](int64_t, int64_t) {
-    EXPECT_TRUE(ThreadPool::InWorker());
-    // A nested range must not deadlock; it runs inline on this worker.
-    pool.ParallelForRange(0, 4, 1,
-                          [&](int64_t, int64_t) { inner_total.fetch_add(1); });
+TEST(ParallelTeamTest, ResizeBetweenRegionsCoversEveryIndexOnce) {
+  ThreadCountGuard guard;
+  for (int t : {4, 2, 7, 1}) {
+    SetNumThreads(t);
+    std::vector<std::atomic<int>> hits(1000);
+    ParallelFor(0, 1000, 7, [&](int64_t b, int64_t e) {
+      for (int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    });
+    for (auto& h : hits) ASSERT_EQ(h.load(), 1) << "threads=" << t;
+  }
+}
+
+TEST(ParallelTeamTest, SecondThreadRegionWhileTeamBusyIsBitwiseEqual) {
+  ThreadCountGuard guard;
+  SetNumThreads(4);
+  Rng rng(19);
+  Matrix a(193, 67), b(67, 141);
+  InitNormal(&a, &rng);
+  InitNormal(&b, &rng);
+  Matrix ref;
+  Gemm(a, false, b, false, 1.f, 0.f, &ref);
+
+  // The second thread's Gemm is dispatched from inside the main thread's
+  // region, while the team is held: it runs inline with the same chunks.
+  const int64_t serial_before = GetParallelStats().serial_regions;
+  Matrix concurrent;
+  ParallelFor(0, 4, 1, [&](int64_t c, int64_t) {
+    if (c != 0) return;
+    std::thread second(
+        [&] { Gemm(a, false, b, false, 1.f, 0.f, &concurrent); });
+    second.join();
   });
-  EXPECT_EQ(inner_total.load(), 8 * 4);
+  EXPECT_TRUE(BitwiseEqual(ref, concurrent));
+  EXPECT_GT(GetParallelStats().serial_regions, serial_before);
+}
+
+std::mutex g_hook_mu;
+std::vector<std::thread::id> g_hook_starts;
+std::vector<std::thread::id> g_hook_exits;
+
+void RecordWorkerStart() {
+  std::lock_guard<std::mutex> lock(g_hook_mu);
+  g_hook_starts.push_back(std::this_thread::get_id());
+}
+
+void RecordWorkerExit() {
+  std::lock_guard<std::mutex> lock(g_hook_mu);
+  g_hook_exits.push_back(std::this_thread::get_id());
+}
+
+TEST(ParallelTeamTest, WorkerHooksFireOncePerWorkerAcrossResize) {
+  ThreadCountGuard guard;
+  SetNumThreads(1);  // tear down any team built under the default hooks
+  g_hook_starts.clear();
+  g_hook_exits.clear();
+  SetWorkerThreadHooks(&RecordWorkerStart, &RecordWorkerExit);
+  auto run_region = [] {
+    std::atomic<int> sum{0};
+    ParallelFor(0, 64, 1, [&](int64_t, int64_t) { sum.fetch_add(1); });
+    EXPECT_EQ(sum.load(), 64);
+  };
+  SetNumThreads(4);
+  run_region();
+  SetNumThreads(2);  // resize: joins the first team's workers
+  run_region();
+  SetNumThreads(1);  // joins the second team's workers
+  SetWorkerThreadHooks(nullptr, nullptr);
+
+  // A team at --threads=t has min(t, max(2, cores)) - 1 workers; the
+  // 4 -> 2 resize rebuilds it only when those widths differ. Each worker
+  // starts and exits once on its own thread (ids of joined threads may
+  // be reused, so the id lists are compared as multisets).
+  const int cap = static_cast<int>(
+      std::max(2u, std::thread::hardware_concurrency()));
+  const int width4 = std::min(4, cap);
+  const int width2 = std::min(2, cap);
+  const size_t want = static_cast<size_t>(
+      (width4 - 1) + (width4 != width2 ? width2 - 1 : 0));
+  std::vector<std::thread::id> starts = g_hook_starts;
+  std::vector<std::thread::id> exits = g_hook_exits;
+  std::sort(starts.begin(), starts.end());
+  std::sort(exits.begin(), exits.end());
+  EXPECT_EQ(starts.size(), want);
+  EXPECT_EQ(starts, exits);
 }
 
 // --------------------------------------------------------- runtime basics

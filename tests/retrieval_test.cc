@@ -35,7 +35,8 @@ using retrieval::TopKHeap;
 using retrieval::TopKList;
 using retrieval::TopKScorer;
 
-/// RAII guard for the shared thread pool (same idiom as simd_test).
+/// RAII guard for the parallel runtime's thread count (same idiom as
+/// simd_test).
 class ScopedThreads {
  public:
   explicit ScopedThreads(int n) { SetNumThreads(n); }

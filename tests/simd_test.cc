@@ -32,7 +32,7 @@ class ScopedDispatch {
   ~ScopedDispatch() { ForceScalarKernels(false); }
 };
 
-/// RAII guard for the shared thread pool.
+/// RAII guard for the parallel runtime's thread count.
 class ScopedThreads {
  public:
   explicit ScopedThreads(int n) { SetNumThreads(n); }

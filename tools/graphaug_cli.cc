@@ -16,6 +16,7 @@
 //   graphaug denoise --preset=amazon-sim --epochs=24 --budget=0.1
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <numeric>
@@ -140,6 +141,32 @@ ModelConfig ConfigFromFlags(const FlagParser& flags) {
   return cfg;
 }
 
+/// Rejects training settings no model can run with. Each bad value prints
+/// one line naming the flag; the caller exits 2 before loading any data.
+bool ValidTrainingConfig(const char* cmd, const ModelConfig& cfg,
+                         int epochs) {
+  struct Bound {
+    const char* flag;
+    int value;
+    int min;
+  };
+  for (const Bound& b : {Bound{"epochs", epochs, 1}, Bound{"dim", cfg.dim, 1},
+                         Bound{"layers", cfg.num_layers, 0},
+                         Bound{"batch", cfg.batch_size, 1}}) {
+    if (b.value < b.min) {
+      std::fprintf(stderr, "%s: --%s must be >= %d (got %d)\n", cmd, b.flag,
+                   b.min, b.value);
+      return false;
+    }
+  }
+  if (!std::isfinite(cfg.learning_rate) || cfg.learning_rate <= 0.f) {
+    std::fprintf(stderr, "%s: --lr must be finite and > 0 (got %g)\n", cmd,
+                 static_cast<double>(cfg.learning_rate));
+    return false;
+  }
+  return true;
+}
+
 int CmdGenerate(const FlagParser& flags) {
   const std::string preset = flags.GetString("preset", "gowalla-sim");
   const std::string out = flags.GetString("out", "");
@@ -188,6 +215,9 @@ int CmdStats(const FlagParser& flags) {
 }
 
 int CmdTrain(const FlagParser& flags) {
+  const ModelConfig cfg = ConfigFromFlags(flags);
+  const int epochs = static_cast<int>(flags.GetInt("epochs", 24));
+  if (!ValidTrainingConfig("train", cfg, epochs)) return 2;
   Dataset dataset;
   if (!ResolveDataset(flags, &dataset)) {
     std::fprintf(stderr, "train: cannot load dataset\n");
@@ -205,7 +235,7 @@ int CmdTrain(const FlagParser& flags) {
       // Constructed directly (not via CreateModel) so the augmentor choice
       // survives: ModelConfig has no augmentor field to carry it through.
       GraphAugConfig gcfg;
-      static_cast<ModelConfig&>(gcfg) = ConfigFromFlags(flags);
+      static_cast<ModelConfig&>(gcfg) = cfg;
       gcfg.augmentor.name = augmentor;
       model = std::make_unique<GraphAug>(&dataset, gcfg);
     } else {
@@ -214,12 +244,12 @@ int CmdTrain(const FlagParser& flags) {
                      "train: --augmentor applies only to --model=GraphAug\n");
         return 2;
       }
-      model = CreateModel(model_name, &dataset, ConfigFromFlags(flags));
+      model = CreateModel(model_name, &dataset, cfg);
     }
   }
   Evaluator evaluator(&dataset, {20, 40});
   TrainOptions options;
-  options.epochs = static_cast<int>(flags.GetInt("epochs", 24));
+  options.epochs = epochs;
   options.eval_every = static_cast<int>(
       flags.GetInt("eval-every", std::max(1, options.epochs / 4)));
   options.patience = static_cast<int>(flags.GetInt("patience", 0));
@@ -442,6 +472,10 @@ int CmdRecommend(const FlagParser& flags) {
 }
 
 int CmdDenoise(const FlagParser& flags) {
+  GraphAugConfig cfg;
+  static_cast<ModelConfig&>(cfg) = ConfigFromFlags(flags);
+  const int epochs = static_cast<int>(flags.GetInt("epochs", 24));
+  if (!ValidTrainingConfig("denoise", cfg, epochs)) return 2;
   Dataset dataset;
   if (!ResolveDataset(flags, &dataset)) {
     std::fprintf(stderr, "denoise: cannot load dataset\n");
@@ -449,8 +483,6 @@ int CmdDenoise(const FlagParser& flags) {
   }
   std::string augmentor;
   if (!ResolveAugmentor(flags, &augmentor)) return 2;
-  GraphAugConfig cfg;
-  static_cast<ModelConfig&>(cfg) = ConfigFromFlags(flags);
   cfg.augmentor.name = augmentor;
   std::unique_ptr<GraphAug> model_ptr;
   {
@@ -465,7 +497,6 @@ int CmdDenoise(const FlagParser& flags) {
                  augmentor.c_str());
     return 2;
   }
-  const int epochs = static_cast<int>(flags.GetInt("epochs", 24));
   for (int e = 0; e < epochs; ++e) {
     model.TrainEpoch();
     model.DecayLearningRate();
@@ -500,7 +531,13 @@ int Main(int argc, char** argv) {
   // (0 = auto: GRAPHAUG_NUM_THREADS env var, then hardware concurrency).
   // Results are identical at any setting; only wall-clock changes.
   if (flags.Has("threads")) {
-    SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
+    const int64_t threads = flags.GetInt("threads", 0);
+    if (threads < 0) {
+      std::fprintf(stderr, "--threads must be >= 0 (got %lld)\n",
+                   static_cast<long long>(threads));
+      return 2;
+    }
+    SetNumThreads(static_cast<int>(threads));
   }
   if (flags.Has("log-level")) {
     const std::string name = flags.GetString("log-level", "info");
@@ -623,8 +660,12 @@ int Main(int argc, char** argv) {
     }
   }
   if (obs_report) std::printf("%s", obs::AsciiReport().c_str());
-  for (const std::string& f : flags.UnusedFlags()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", f.c_str());
+  // A usage error (rc 2) stops a command before it reads its other flags;
+  // listing those as unused would bury the one-line error.
+  if (rc != 2) {
+    for (const std::string& f : flags.UnusedFlags()) {
+      std::fprintf(stderr, "warning: unused flag --%s\n", f.c_str());
+    }
   }
   return rc;
 }

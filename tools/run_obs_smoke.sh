@@ -110,5 +110,25 @@ fi
 grep -q "not writable" "$WORK/err.txt" || {
   echo "FAIL: unwritable path must print a warning" >&2; exit 1; }
 
+# Bad training settings are config errors: one line on stderr and exit 2
+# before any data is built — never an abort (rc 134), never a silent run
+# that reports a metric.
+for sub in train denoise; do
+  model=()
+  [ "$sub" = train ] && model=(--model=LightGCN)
+  for bad in --epochs=0 --dim=0 --layers=-1 --batch=0 --lr=nan --lr=0 \
+             --threads=-2; do
+    rc=0
+    "$CLI" "$sub" --preset=tiny "${model[@]}" "$bad" --log-level=warn \
+      >"$WORK/out.txt" 2>"$WORK/err.txt" || rc=$?
+    if [ "$rc" -eq 0 ] || [ "$rc" -eq 134 ]; then
+      echo "FAIL: $sub $bad exited $rc (want a config error)" >&2; exit 1
+    fi
+    [ "$(wc -l <"$WORK/err.txt")" -eq 1 ] || {
+      echo "FAIL: $sub $bad must print one line, got:" >&2
+      cat "$WORK/err.txt" >&2; exit 1; }
+  done
+done
+
 echo "obs smoke ok: metrics=$(wc -c <"$METRICS")B trace=$(wc -c <"$TRACE")B" \
      "report=$(wc -c <"$REPORT")B"
