@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
   const std::string det_json = flags.GetString("determinism-json", "");
   if (!det_json.empty()) {
     return WriteDeterminismJson(
-        det_json, static_cast<int>(flags.GetInt("epochs", 3)));
+        det_json, flags.GetInt32("epochs", 3));
   }
   return RunTables();
 }

@@ -374,14 +374,14 @@ int RunKernelBaseline(const FlagParser& flags) {
   const std::string json_path =
       flags.GetString("json-out", "BENCH_kernels.json");
   const bool fast = flags.GetBool("fast", false);
-  const int reps = static_cast<int>(flags.GetInt("reps", 3));
+  const int reps = flags.GetInt32("reps", 3);
   // --profile-out=B samples every kernel case (all threads) into
   // B.folded / B.json — the flamegraph answers "which loop inside gemm_nn
   // ate the time", which the per-case wall numbers cannot.
   const std::string profile_out = flags.GetString("profile-out", "");
   if (!profile_out.empty() &&
-      !obs::StartProfiler(static_cast<int>(
-          flags.GetInt("profile-hz", obs::kDefaultProfileHz)))) {
+      !obs::StartProfiler(
+          flags.GetInt32("profile-hz", obs::kDefaultProfileHz))) {
     std::fprintf(stderr,
                  "warning: sampling profiler unavailable; %s.folded will be "
                  "empty\n",
@@ -574,7 +574,7 @@ int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);  // strips --benchmark_* flags
   graphaug::FlagParser flags(argc, argv);
   if (flags.Has("threads")) {
-    graphaug::SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
+    graphaug::SetNumThreads(flags.GetInt32("threads", 0));
   }
   if (flags.GetBool("gbench", false)) {
     ::benchmark::RunSpecifiedBenchmarks();

@@ -222,7 +222,7 @@ int RunBench(const FlagParser& flags) {
   const std::string json_path = flags.GetString("json-out", "BENCH_topk.json");
   const bool fast = flags.GetBool("fast", false);
   const bool full = flags.GetBool("full", false);
-  const int reps = static_cast<int>(flags.GetInt("reps", 3));
+  const int reps = flags.GetInt32("reps", 3);
 
   SetNumThreads(0);
   const int hw = NumThreads();
@@ -415,7 +415,7 @@ int RunBench(const FlagParser& flags) {
 int main(int argc, char** argv) {
   graphaug::FlagParser flags(argc, argv);
   if (flags.Has("threads")) {
-    graphaug::SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
+    graphaug::SetNumThreads(flags.GetInt32("threads", 0));
   }
   return graphaug::RunBench(flags);
 }

@@ -10,8 +10,11 @@ EdgeScorer::EdgeScorer(ParamStore* store, const std::string& name, int dim,
       noise_stddev_(noise_stddev),
       user_mask_(store->Create(name + ".user_mask", 1, dim)),
       item_mask_(store->Create(name + ".item_mask", 1, dim)),
-      mlp_(store, name + ".mlp", {2 * static_cast<int64_t>(dim), dim, 1}, rng,
-           Activation::kLeakyRelu) {
+      fc0_weight_(store->CreateXavier(name + ".mlp.fc0.weight", 2 * dim, dim,
+                                      rng)),
+      fc0_bias_(store->Create(name + ".mlp.fc0.bias", 1, dim)),
+      fc1_weight_(store->CreateXavier(name + ".mlp.fc1.weight", dim, 1, rng)),
+      fc1_bias_(store->Create(name + ".mlp.fc1.bias", 1, 1)) {
   // Mask logits start at +2 => masks near sigmoid(2) ≈ 0.88: begin close
   // to the identity and learn what to suppress.
   user_mask_->value.Fill(2.f);
@@ -19,7 +22,7 @@ EdgeScorer::EdgeScorer(ParamStore* store, const std::string& name, int dim,
   // Optimistic initialization of the retention probability: the final MLP
   // bias starts positive so p((u,v)) ≈ 0.82 and early training sees
   // near-complete graphs; the scorer then learns what to *remove*.
-  mlp_.layers().back().bias()->value.Fill(1.5f);
+  fc1_bias_->value.Fill(1.5f);
 }
 
 Var EdgeScorer::Score(Tape* tape, Var node_embeddings,
@@ -48,7 +51,10 @@ Var EdgeScorer::Score(Tape* tape, Var node_embeddings,
   };
   Var tu = disturb(hu, user_mask_);
   Var tv = disturb(hv, item_mask_);
-  Var logits = mlp_.Forward(tape, ag::ConcatCols(tu, tv));
+  Var logits = ag::PairMlp(tu, tv, ag::Leaf(tape, fc0_weight_),
+                           ag::Leaf(tape, fc0_bias_),
+                           ag::Leaf(tape, fc1_weight_),
+                           ag::Leaf(tape, fc1_bias_), /*slope=*/0.5f);
   return ag::Sigmoid(logits);
 }
 

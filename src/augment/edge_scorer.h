@@ -5,7 +5,6 @@
 
 #include "autograd/ops.h"
 #include "graph/bipartite_graph.h"
-#include "nn/layers.h"
 
 namespace graphaug {
 
@@ -35,7 +34,13 @@ class EdgeScorer {
   float noise_stddev_;
   Parameter* user_mask_;  ///< 1 x d mask logits (m_u = sigmoid)
   Parameter* item_mask_;  ///< 1 x d mask logits (m_v = sigmoid)
-  Mlp mlp_;               ///< [2d -> d -> 1]
+  // The [2d -> d -> 1] MLP, under the names an nn::Mlp would give it
+  // (<name>.mlp.fc0.weight, ...). fc0.weight's top d rows act on h̃_u and
+  // its bottom d rows on h̃_v.
+  Parameter* fc0_weight_;  ///< 2d x d
+  Parameter* fc0_bias_;    ///< 1 x d
+  Parameter* fc1_weight_;  ///< d x 1
+  Parameter* fc1_bias_;    ///< 1 x 1
 };
 
 }  // namespace graphaug

@@ -260,6 +260,41 @@ Var MatMul(Var a, Var b, bool trans_a, bool trans_b) {
       });
 }
 
+Var PairMlp(Var xu, Var xv, Var w1, Var b1, Var w2, Var b2, float slope) {
+  Tape* t = xu.tape();
+  const double m = static_cast<double>(xu.rows());
+  const double k = static_cast<double>(w1.rows());
+  const double n = static_cast<double>(w1.cols());
+  GA_AG_OP("PairMlp", 2 * m * n * (k + 1),
+           4 * (m * k + k * n + m * n + m));
+  Matrix hidden, logits;
+  PairMlpForward(xu.value(), xv.value(), w1.value(), b1.value(), w2.value(),
+                 b2.value(), slope, &hidden, &logits);
+  const int uid = xu.id(), vid = xv.id(), w1id = w1.id(), b1id = b1.id(),
+            w2id = w2.id(), b2id = b2.id();
+  bool ng = false;
+  for (int id : {uid, vid, w1id, b1id, w2id, b2id}) ng |= t->NeedsGrad(id);
+  auto h = std::make_shared<Matrix>(std::move(hidden));
+  return t->Emit(std::move(logits), ng, [=](Tape* t, Matrix& up) {
+    PairMlpGrads g;
+    g.need_xu = t->NeedsGrad(uid);
+    g.need_xv = t->NeedsGrad(vid);
+    g.need_w1 = t->NeedsGrad(w1id);
+    g.need_b1 = t->NeedsGrad(b1id);
+    g.need_w2 = t->NeedsGrad(w2id);
+    g.need_b2 = t->NeedsGrad(b2id);
+    PairMlpBackward(up, t->ValueOf(uid), t->ValueOf(vid), t->ValueOf(w1id),
+                    t->ValueOf(w2id), *h, slope, &g);
+    // The composed graph's arrival order, last layer first.
+    t->AccumulateGrad(b2id, std::move(g.db2));
+    t->AccumulateGrad(w2id, std::move(g.dw2));
+    t->AccumulateGrad(b1id, std::move(g.db1));
+    t->AccumulateGrad(w1id, std::move(g.dw1));
+    t->AccumulateGrad(uid, std::move(g.dxu));
+    t->AccumulateGrad(vid, std::move(g.dxv));
+  });
+}
+
 Var Spmm(const CsrMatrix* csr, Var dense) {
   Tape* t = dense.tape();
   const int did = dense.id();

@@ -45,6 +45,14 @@ Var Dropout(Var a, float p, Rng* rng);
 // ------------------------------------------------------- linear algebra
 /// Dense product with optional transposes: op(a) * op(b).
 Var MatMul(Var a, Var b, bool trans_a = false, bool trans_b = false);
+/// Two-layer perceptron over a row pair as one node (the edge scorer's
+/// Eq. 4 MLP): logits = LeakyRelu_slope(xu·W_u + xv·W_v + b1)·w2 + b2,
+/// where W_u / W_v are the top / bottom rows of `w1`. Bitwise equal, in
+/// the logits and all six gradients, to MatMul → AddRowBroadcast →
+/// LeakyRelu → MatMul → AddRowBroadcast over ConcatCols(xu, xv), without
+/// the (n x 2d) concat or the pre-activations on the tape. Requires
+/// slope >= 0.
+Var PairMlp(Var xu, Var xv, Var w1, Var b1, Var w2, Var b2, float slope);
 /// Sparse-dense product: csr * dense. The sparse matrix is constant.
 Var Spmm(const CsrMatrix* csr, Var dense);
 /// y = Ã^k x through an AdjacencyPowerCache (k >= 0) as a single tape

@@ -25,9 +25,15 @@ class FlagParser {
   /// True if --name was supplied.
   bool Has(const std::string& name) const;
 
+  /// Typed getters. A value that does not parse as a whole — empty,
+  /// trailing junk, or out of the type's range — prints one line naming
+  /// the flag to stderr and exits the process with status 2 (a usage
+  /// error, like an unknown subcommand).
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;
+  /// GetInt for values that must fit an int (counts, sizes, thread caps).
+  int GetInt32(const std::string& name, int default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
@@ -37,6 +43,9 @@ class FlagParser {
   std::vector<std::string> UnusedFlags() const;
 
  private:
+  /// Marks `name` read; returns its value, or nullptr when not supplied.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> read_;
   std::vector<std::string> positional_;

@@ -24,129 +24,7 @@ int64_t RowGrain(int64_t work_per_row) {
                                   std::max<int64_t>(1, work_per_row));
 }
 
-// Packed-panel GEMM blocking (DESIGN.md §9). KC limits the packed-panel
-// depth so one B block (KC x NC floats = 1MB) stays L2-resident across
-// the whole row sweep, with the A panel (MR x KC = 6KB) in L1. All four
-// transpose variants are folded into packing, so one microkernel pair
-// (scalar / AVX2, simd::KernelTable) serves every case. Accumulation
-// order per output element is p ascending across KC blocks with separate
-// mul/add rounding — the property that keeps every (variant, thread
-// count) combination bitwise identical.
-constexpr int64_t kGemmKC = 256;
-constexpr int64_t kGemmNC = 1024;
-
-using simd::kGemmMR;
-using simd::kGemmNR;
-
-// Packs alpha * op(a)[i0 : i0+mr, pc : pc+kc] into a column-major panel:
-// ap[p*mr + ii]. Folding alpha here reproduces the historic kernels'
-// "av = alpha * a" single rounding before the multiply-add stream.
-void PackA(const Matrix& a, bool trans_a, float alpha, int64_t i0, int mr,
-           int64_t pc, int64_t kc, float* ap) {
-  if (!trans_a) {
-    for (int ii = 0; ii < mr; ++ii) {
-      const float* arow = a.row(i0 + ii) + pc;
-      for (int64_t p = 0; p < kc; ++p) ap[p * mr + ii] = alpha * arow[p];
-    }
-  } else {
-    for (int64_t p = 0; p < kc; ++p) {
-      const float* arow = a.row(pc + p) + i0;
-      for (int ii = 0; ii < mr; ++ii) ap[p * mr + ii] = alpha * arow[ii];
-    }
-  }
-}
-
-// Packs op(b)[pc : pc+kc, jc : jc+nc] into kGemmNR-wide row panels laid
-// out back to back (each panel kc * kGemmNR floats), zero-padding the
-// ragged last panel so the microkernel can always run full-width B loads.
-void PackB(const Matrix& b, bool trans_b, int64_t pc, int64_t kc, int64_t jc,
-           int64_t nc, float* bp) {
-  for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
-    float* dst = bp + (jr / kGemmNR) * kc * kGemmNR;
-    const int nr = static_cast<int>(std::min<int64_t>(kGemmNR, nc - jr));
-    if (!trans_b) {
-      for (int64_t p = 0; p < kc; ++p) {
-        const float* brow = b.row(pc + p) + jc + jr;
-        float* drow = dst + p * kGemmNR;
-        for (int jj = 0; jj < nr; ++jj) drow[jj] = brow[jj];
-        for (int jj = nr; jj < kGemmNR; ++jj) drow[jj] = 0.f;
-      }
-    } else {
-      // op(b)(p, j) = b(j, p): walk rows of b for stride-1 reads.
-      for (int jj = 0; jj < nr; ++jj) {
-        const float* brow = b.row(jc + jr + jj) + pc;
-        for (int64_t p = 0; p < kc; ++p) dst[p * kGemmNR + jj] = brow[p];
-      }
-      for (int64_t p = 0; p < kc; ++p) {
-        float* drow = dst + p * kGemmNR;
-        for (int jj = nr; jj < kGemmNR; ++jj) drow[jj] = 0.f;
-      }
-    }
-  }
-}
-
 }  // namespace
-
-void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
-          float alpha, float beta, Matrix* out) {
-  GA_TRACE_SPAN("gemm");
-  const int64_t m = trans_a ? a.cols() : a.rows();
-  const int64_t ka = trans_a ? a.rows() : a.cols();
-  const int64_t kb = trans_b ? b.cols() : b.rows();
-  const int64_t n = trans_b ? b.rows() : b.cols();
-  GA_CHECK_EQ(ka, kb) << "gemm inner dims";
-  if (out->rows() != m || out->cols() != n) {
-    GA_CHECK(beta == 0.f) << "beta != 0 requires preallocated out";
-    *out = Matrix(m, n);
-  } else if (beta == 0.f) {
-    out->Zero();
-  } else if (beta != 1.f) {
-    ParallelFor(0, out->size(), kElemGrain, [beta, out](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) (*out)[i] *= beta;
-    });
-  }
-  if (m == 0 || n == 0 || ka == 0) return;
-  // One table per op: the dispatch decision is taken here, never inside
-  // chunks, so a single product can't mix microkernel variants.
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  std::vector<float> bpack(
-      static_cast<size_t>(((std::min(kGemmNC, n) + kGemmNR - 1) / kGemmNR) *
-                          kGemmNR * std::min(kGemmKC, ka)));
-  const int64_t row_blocks = (m + kGemmMR - 1) / kGemmMR;
-  for (int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const int64_t nc = std::min(kGemmNC, n - jc);
-    for (int64_t pc = 0; pc < ka; pc += kGemmKC) {
-      const int64_t kc = std::min(kGemmKC, ka - pc);
-      PackB(b, trans_b, pc, kc, jc, nc, bpack.data());
-      // Chunks are MR-aligned row blocks; each output row belongs to
-      // exactly one chunk, so any thread count writes the same bits.
-      const int64_t grain = std::max<int64_t>(1, RowGrain(kc * nc) / kGemmMR);
-      ParallelFor(0, row_blocks, grain, [&](int64_t b0, int64_t b1) {
-        thread_local std::vector<float> apack;
-        apack.resize(static_cast<size_t>(kGemmMR * kc));
-        for (int64_t ib = b0; ib < b1; ++ib) {
-          const int64_t i0 = ib * kGemmMR;
-          const int mr = static_cast<int>(std::min<int64_t>(kGemmMR, m - i0));
-          PackA(a, trans_a, alpha, i0, mr, pc, kc, apack.data());
-          float* crow = out->row(i0) + jc;
-          for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
-            const int nr =
-                static_cast<int>(std::min<int64_t>(kGemmNR, nc - jr));
-            kt.gemm_micro(kc, apack.data(),
-                          bpack.data() + (jr / kGemmNR) * kc * kGemmNR,
-                          crow + jr, out->cols(), mr, nr);
-          }
-        }
-      });
-    }
-  }
-}
-
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  Gemm(a, false, b, false, 1.f, 0.f, &out);
-  return out;
-}
 
 Matrix Add(const Matrix& a, const Matrix& b) {
   GA_CHECK(a.SameShape(b)) << a.ShapeString() << " vs " << b.ShapeString();

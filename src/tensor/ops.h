@@ -17,6 +17,33 @@ void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
 /// Returns a * b (no transposes), convenience wrapper.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
+/// Two-layer perceptron over a pair of row blocks, without forming their
+/// concatenation:
+///   hidden = LeakyRelu_slope(xu·W_u + xv·W_v + b1),  logits = hidden·w2 + b2
+/// where W_u / W_v are the top xu.cols() / bottom xv.cols() rows of w1
+/// ((du + dv) x n), b1 is 1 x n, w2 n x 1 and b2 1 x 1; slope >= 0. The
+/// first layer is a K-split GEMM whose bias + LeakyRelu epilogue and d -> 1
+/// layer run per row block. Bitwise equal to Gemm(ConcatCols(xu, xv), w1),
+/// + b1, LeakyRelu, Gemm(hidden, w2), + b2 at any thread count and on
+/// either kernel table (DESIGN.md §11).
+void PairMlpForward(const Matrix& xu, const Matrix& xv, const Matrix& w1,
+                    const Matrix& b1, const Matrix& w2, const Matrix& b2,
+                    float slope, Matrix* hidden, Matrix* logits);
+
+/// Gradients of PairMlpForward's logits. PairMlpBackward forms only the
+/// entries whose need_* flag is set and leaves the others empty.
+struct PairMlpGrads {
+  bool need_xu = true, need_xv = true, need_w1 = true;
+  bool need_b1 = true, need_w2 = true, need_b2 = true;
+  Matrix dxu, dxv, dw1, db1, dw2, db2;
+};
+
+/// Backward of PairMlpForward given d(loss)/d(logits) (m x 1) and the
+/// forward's `hidden`; every gradient is bitwise the composed graph's.
+void PairMlpBackward(const Matrix& dlogits, const Matrix& xu,
+                     const Matrix& xv, const Matrix& w1, const Matrix& w2,
+                     const Matrix& hidden, float slope, PairMlpGrads* g);
+
 /// out[i] = a[i] + b[i].
 Matrix Add(const Matrix& a, const Matrix& b);
 /// out[i] = a[i] - b[i].

@@ -12,6 +12,8 @@
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
 #include "autograd/optim.h"
+#include "common/cpu_features.h"
+#include "common/parallel.h"
 #include "data/synthetic.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -178,8 +180,10 @@ TEST_F(OpFixture, BroadcastGradients) {
 // ------------------------------------------------- fused masked-noise mix
 
 bool SameBits(const Matrix& a, const Matrix& b) {
+  // Empty matrices (frozen inputs' gradients) have no data pointer.
   return a.SameShape(b) &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 struct MixResult {
@@ -252,6 +256,128 @@ TEST_F(OpFixture, MaskedNoiseMixGradient) {
           ag::Square(ag::MaskedNoiseMix(ag::Leaf(t, h), m, eps)));
     });
     EXPECT_TRUE(res.ok) << res.max_abs_error;
+  }
+}
+
+// ------------------------------------------------------- fused pair MLP
+
+/// The six PairMlp inputs in argument order: xu, xv, w1, b1, w2, b2.
+struct PairMlpParams {
+  Parameter* p[6];
+};
+
+PairMlpParams MakePairMlp(ParamStore* store, Rng* rng, int64_t e, int64_t d) {
+  const int64_t shapes[6][2] = {{e, d}, {e, d}, {2 * d, d},
+                                {1, d}, {d, 1}, {1, 1}};
+  PairMlpParams m;
+  for (int i = 0; i < 6; ++i) {
+    m.p[i] = store->CreateNormal("pair" + std::to_string(i), shapes[i][0],
+                                 shapes[i][1], rng, 0.7f);
+  }
+  // Signed-zero traps: a -0 second-layer weight (its K = 1 backward GEMM
+  // starts from +0) and an all-zero input row.
+  m.p[4]->value[0] = -0.f;
+  for (int64_t c = 0; c < d; ++c) m.p[0]->value.at(0, c) = 0.f;
+  return m;
+}
+
+/// Logits and the six input gradients (empty for frozen inputs).
+struct PairMlpResult {
+  Matrix logits;
+  Matrix grads[6];
+};
+
+/// The scorer MLP either as one PairMlp node or as the composed graph it
+/// replaces, with the logits' gradient seeded to w.
+PairMlpResult RunPairMlp(const PairMlpParams& m, const Matrix& w,
+                         bool fused) {
+  Tape tape;
+  Var v[6];
+  for (int i = 0; i < 6; ++i) {
+    m.p[i]->ZeroGrad();
+    v[i] = ag::Leaf(&tape, m.p[i]);
+  }
+  Var logits;
+  if (fused) {
+    logits = ag::PairMlp(v[0], v[1], v[2], v[3], v[4], v[5], 0.5f);
+  } else {
+    Var h = ag::LeakyRelu(
+        ag::AddRowBroadcast(ag::MatMul(ag::ConcatCols(v[0], v[1]), v[2]),
+                            v[3]),
+        0.5f);
+    logits = ag::AddRowBroadcast(ag::MatMul(h, v[4]), v[5]);
+  }
+  PairMlpResult r;
+  r.logits = logits.value();
+  tape.Backward(ag::SumAll(ag::Mul(logits, ag::Constant(&tape, w))));
+  for (int i = 0; i < 6; ++i) {
+    if (m.p[i]->trainable) r.grads[i] = m.p[i]->grad;
+  }
+  return r;
+}
+
+TEST_F(OpFixture, PairMlpMatchesComposedGraphBitwise) {
+  const int64_t shapes[][2] = {{1, 1}, {5, 1}, {41, 13}, {1001, 13},
+                               {4099, 32}};
+  for (const auto& shape : shapes) {
+    const int64_t e = shape[0], d = shape[1];
+    const PairMlpParams m = MakePairMlp(&store_, &rng_, e, d);
+    Matrix w(e, 1);
+    FillNormal(&w, 0xab5eedULL + e, 0.f, 1.f);
+    for (const bool scalar : {false, true}) {
+      ForceScalarKernels(scalar);
+      SetNumThreads(1);
+      const PairMlpResult composed = RunPairMlp(m, w, false);
+      for (int threads : {1, 2, 7}) {
+        SetNumThreads(threads);
+        const PairMlpResult fused = RunPairMlp(m, w, true);
+        const std::string where = "E=" + std::to_string(e) +
+                                  " d=" + std::to_string(d) +
+                                  " threads=" + std::to_string(threads) +
+                                  " scalar=" + std::to_string(scalar);
+        EXPECT_TRUE(SameBits(fused.logits, composed.logits)) << where;
+        for (int i = 0; i < 6; ++i) {
+          EXPECT_TRUE(SameBits(fused.grads[i], composed.grads[i]))
+              << "input " << i << " " << where;
+        }
+      }
+    }
+  }
+  ForceScalarKernels(false);
+  SetNumThreads(1);
+}
+
+TEST_F(OpFixture, PairMlpFrozenInputsMatchComposedGraphBitwise) {
+  const PairMlpParams m = MakePairMlp(&store_, &rng_, 41, 13);
+  Matrix w(41, 1);
+  FillNormal(&w, 0xf00dULL, 0.f, 1.f);
+  // Each input frozen in turn: every backward branch on its own.
+  for (int frozen = 0; frozen < 6; ++frozen) {
+    for (int i = 0; i < 6; ++i) m.p[i]->trainable = i != frozen;
+    const PairMlpResult fused = RunPairMlp(m, w, true);
+    const PairMlpResult composed = RunPairMlp(m, w, false);
+    EXPECT_TRUE(SameBits(fused.logits, composed.logits)) << frozen;
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_TRUE(SameBits(fused.grads[i], composed.grads[i]))
+          << "input " << i << " frozen " << frozen;
+      if (i != frozen) {
+        EXPECT_GT(MaxAbs(fused.grads[i]), 0.f) << i;
+      }
+    }
+  }
+  for (Parameter* p : m.p) p->trainable = true;
+}
+
+TEST_F(OpFixture, PairMlpGradient) {
+  const PairMlpParams m = MakePairMlp(&store_, &rng_, 5, 3);
+  for (Parameter* target : m.p) {
+    GradCheckResult res = CheckGradient(target, [&](Tape* t) {
+      Var v[6];
+      for (int i = 0; i < 6; ++i) v[i] = ag::Leaf(t, m.p[i]);
+      return ag::MeanAll(ag::Square(
+          ag::PairMlp(v[0], v[1], v[2], v[3], v[4], v[5], 0.5f)));
+    });
+    EXPECT_TRUE(res.ok) << target->name << " " << res.max_abs_error;
   }
 }
 

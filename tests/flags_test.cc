@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/flags.h"
 
 namespace graphaug {
@@ -68,6 +70,60 @@ TEST(FlagsTest, MalformedNumberAborts) {
   EXPECT_DEATH(f.GetInt("dim", 0), "expects an integer");
   FlagParser g = Parse({"--lr=xyz"});
   EXPECT_DEATH(g.GetDouble("lr", 0), "expects a number");
+}
+
+// Bad values are usage errors: one line on stderr, exit status 2, never
+// an abort.
+TEST(FlagsTest, MalformedValuesExitWithUsageError) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  FlagParser f = Parse({"--epochs=abc", "--lr=x", "--n=12abc", "--v=maybe"});
+  EXPECT_EXIT(f.GetInt("epochs", 0), usage_error,
+              "^flag --epochs expects an integer, got 'abc'\n$");
+  EXPECT_EXIT(f.GetInt32("epochs", 0), usage_error, "expects an integer");
+  EXPECT_EXIT(f.GetDouble("lr", 0), usage_error,
+              "^flag --lr expects a number, got 'x'\n$");
+  EXPECT_EXIT(f.GetInt("n", 0), usage_error, "got '12abc'");
+  EXPECT_EXIT(f.GetBool("v", false), usage_error,
+              "^flag --v expects a boolean, got 'maybe'\n$");
+}
+
+TEST(FlagsTest, EmptyValueIsAnErrorNotZero) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  FlagParser f = Parse({"--batches-per-epoch=", "--lr="});
+  EXPECT_EXIT(f.GetInt32("batches-per-epoch", 6), usage_error,
+              "flag --batches-per-epoch expects an integer");
+  EXPECT_EXIT(f.GetInt("batches-per-epoch", 6), usage_error,
+              "expects an integer");
+  EXPECT_EXIT(f.GetDouble("lr", 0.005), usage_error, "expects a number");
+  // The empty string stays a valid string value.
+  EXPECT_EQ(f.GetString("lr", "default"), "");
+}
+
+TEST(FlagsTest, OutOfRangeValuesAreRejectedNotClamped) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  FlagParser f = Parse({"--epochs=4294967297", "--seed=99999999999999999999",
+                        "--low=-2147483649", "--lr=1e999"});
+  // 2^32 + 1 would truncate to 1 in an int.
+  EXPECT_EXIT(f.GetInt32("epochs", 24), usage_error,
+              "flag --epochs expects an integer in \\[-2147483648, "
+              "2147483647\\], got '4294967297'");
+  EXPECT_EQ(f.GetInt("epochs", 0), int64_t{4294967297});
+  EXPECT_EXIT(f.GetInt("seed", 0), usage_error,
+              "got '99999999999999999999'");
+  EXPECT_EXIT(f.GetInt32("low", 0), usage_error, "expects an integer");
+  EXPECT_EXIT(f.GetDouble("lr", 0), usage_error, "expects a number");
+}
+
+TEST(FlagsTest, RangeLimitsThemselvesParse) {
+  FlagParser f = Parse({"--imax=2147483647", "--imin=-2147483648",
+                        "--lmax=9223372036854775807",
+                        "--lmin=-9223372036854775808", "--plus=+7"});
+  EXPECT_EQ(f.GetInt32("imax", 0), 2147483647);
+  EXPECT_EQ(f.GetInt32("imin", 0), -2147483647 - 1);
+  EXPECT_EQ(f.GetInt("lmax", 0), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(f.GetInt("lmin", 0), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(f.GetInt32("plus", 0), 7);
+  EXPECT_EQ(f.GetInt32("absent", 24), 24);
 }
 
 TEST(FlagsTest, UnusedFlagsDetected) {

@@ -129,30 +129,38 @@ bool ResolveAugmentor(const FlagParser& flags, std::string* name) {
 
 ModelConfig ConfigFromFlags(const FlagParser& flags) {
   ModelConfig cfg;
-  cfg.dim = static_cast<int>(flags.GetInt("dim", 32));
-  cfg.num_layers = static_cast<int>(flags.GetInt("layers", 2));
+  cfg.dim = flags.GetInt32("dim", 32);
+  cfg.num_layers = flags.GetInt32("layers", 2);
   cfg.learning_rate = static_cast<float>(flags.GetDouble("lr", 5e-3));
-  cfg.batch_size = static_cast<int>(flags.GetInt("batch", 2048));
-  cfg.batches_per_epoch =
-      static_cast<int>(flags.GetInt("batches-per-epoch", 6));
+  cfg.batch_size = flags.GetInt32("batch", 2048);
+  cfg.batches_per_epoch = flags.GetInt32("batches-per-epoch", 6);
   cfg.temperature =
       static_cast<float>(flags.GetDouble("temperature", 0.9));
   cfg.seed = static_cast<uint64_t>(flags.GetInt("model-seed", 123));
   return cfg;
 }
 
+/// --eval-every, defaulting to four evaluations per run.
+int EvalEveryFlag(const FlagParser& flags, int epochs) {
+  return flags.GetInt32("eval-every", std::max(1, epochs / 4));
+}
+
 /// Rejects training settings no model can run with. Each bad value prints
 /// one line naming the flag; the caller exits 2 before loading any data.
-bool ValidTrainingConfig(const char* cmd, const ModelConfig& cfg,
-                         int epochs) {
+/// denoise runs the same epochs without evaluating, but a bad
+/// --eval-every is still rejected there rather than ignored.
+bool ValidTrainingConfig(const char* cmd, const ModelConfig& cfg, int epochs,
+                         int eval_every) {
   struct Bound {
     const char* flag;
     int value;
     int min;
   };
-  for (const Bound& b : {Bound{"epochs", epochs, 1}, Bound{"dim", cfg.dim, 1},
-                         Bound{"layers", cfg.num_layers, 0},
-                         Bound{"batch", cfg.batch_size, 1}}) {
+  for (const Bound& b :
+       {Bound{"epochs", epochs, 1}, Bound{"dim", cfg.dim, 1},
+        Bound{"layers", cfg.num_layers, 0}, Bound{"batch", cfg.batch_size, 1},
+        Bound{"batches-per-epoch", cfg.batches_per_epoch, 1},
+        Bound{"eval-every", eval_every, 1}}) {
     if (b.value < b.min) {
       std::fprintf(stderr, "%s: --%s must be >= %d (got %d)\n", cmd, b.flag,
                    b.min, b.value);
@@ -216,8 +224,9 @@ int CmdStats(const FlagParser& flags) {
 
 int CmdTrain(const FlagParser& flags) {
   const ModelConfig cfg = ConfigFromFlags(flags);
-  const int epochs = static_cast<int>(flags.GetInt("epochs", 24));
-  if (!ValidTrainingConfig("train", cfg, epochs)) return 2;
+  const int epochs = flags.GetInt32("epochs", 24);
+  const int eval_every = EvalEveryFlag(flags, epochs);
+  if (!ValidTrainingConfig("train", cfg, epochs, eval_every)) return 2;
   Dataset dataset;
   if (!ResolveDataset(flags, &dataset)) {
     std::fprintf(stderr, "train: cannot load dataset\n");
@@ -250,15 +259,14 @@ int CmdTrain(const FlagParser& flags) {
   Evaluator evaluator(&dataset, {20, 40});
   TrainOptions options;
   options.epochs = epochs;
-  options.eval_every = static_cast<int>(
-      flags.GetInt("eval-every", std::max(1, options.epochs / 4)));
-  options.patience = static_cast<int>(flags.GetInt("patience", 0));
+  options.eval_every = eval_every;
+  options.patience = flags.GetInt32("patience", 0);
   options.verbose = flags.GetBool("verbose", true);
   // The trainer scopes the profiling session to the training loop, so
   // dataset generation and model setup do not dilute the span shares.
   if (!flags.GetString("profile-out", "").empty()) {
-    options.profile_hz = static_cast<int>(
-        flags.GetInt("profile-hz", obs::kDefaultProfileHz));
+    options.profile_hz =
+        flags.GetInt32("profile-hz", obs::kDefaultProfileHz);
   }
   obs::RunReportWriter report;
   const std::string report_out = flags.GetString("report-out", "");
@@ -381,8 +389,8 @@ int CmdRecommend(const FlagParser& flags) {
     }
     model->Finalize();
   }
-  const int32_t user = static_cast<int32_t>(flags.GetInt("user", 0));
-  const int topk = static_cast<int>(flags.GetInt("topk", 10));
+  const int32_t user = flags.GetInt32("user", 0);
+  const int topk = flags.GetInt32("topk", 10);
   if (user < 0 || user >= dataset.num_users) {
     std::fprintf(stderr, "recommend: user %d out of range\n", user);
     return 2;
@@ -474,8 +482,11 @@ int CmdRecommend(const FlagParser& flags) {
 int CmdDenoise(const FlagParser& flags) {
   GraphAugConfig cfg;
   static_cast<ModelConfig&>(cfg) = ConfigFromFlags(flags);
-  const int epochs = static_cast<int>(flags.GetInt("epochs", 24));
-  if (!ValidTrainingConfig("denoise", cfg, epochs)) return 2;
+  const int epochs = flags.GetInt32("epochs", 24);
+  if (!ValidTrainingConfig("denoise", cfg, epochs,
+                           EvalEveryFlag(flags, epochs))) {
+    return 2;
+  }
   Dataset dataset;
   if (!ResolveDataset(flags, &dataset)) {
     std::fprintf(stderr, "denoise: cannot load dataset\n");
@@ -531,13 +542,12 @@ int Main(int argc, char** argv) {
   // (0 = auto: GRAPHAUG_NUM_THREADS env var, then hardware concurrency).
   // Results are identical at any setting; only wall-clock changes.
   if (flags.Has("threads")) {
-    const int64_t threads = flags.GetInt("threads", 0);
+    const int threads = flags.GetInt32("threads", 0);
     if (threads < 0) {
-      std::fprintf(stderr, "--threads must be >= 0 (got %lld)\n",
-                   static_cast<long long>(threads));
+      std::fprintf(stderr, "--threads must be >= 0 (got %d)\n", threads);
       return 2;
     }
-    SetNumThreads(static_cast<int>(threads));
+    SetNumThreads(threads);
   }
   if (flags.Has("log-level")) {
     const std::string name = flags.GetString("log-level", "info");
@@ -555,8 +565,8 @@ int Main(int argc, char** argv) {
   const std::string trace_out = flags.GetString("trace-out", "");
   const std::string report_out = flags.GetString("report-out", "");
   const std::string profile_out = flags.GetString("profile-out", "");
-  const int profile_hz = static_cast<int>(
-      flags.GetInt("profile-hz", obs::kDefaultProfileHz));
+  const int profile_hz =
+      flags.GetInt32("profile-hz", obs::kDefaultProfileHz);
   const std::string profile_folded =
       profile_out.empty() ? "" : profile_out + ".folded";
   const std::string profile_json =

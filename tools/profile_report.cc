@@ -314,7 +314,7 @@ int Main(int argc, char** argv) {
   if (flags.GetBool("selftest", false)) return SelfTest();
   const std::string baseline_path = flags.GetString("baseline", "");
   const std::string current_path = flags.GetString("current", "");
-  const int top_n = static_cast<int>(flags.GetInt("top", 25));
+  const int top_n = flags.GetInt32("top", 25);
   if (!baseline_path.empty() && !current_path.empty()) {
     Profile base, cur;
     if (!LoadFolded(baseline_path, &base) || !LoadFolded(current_path, &cur)) {
