@@ -218,7 +218,8 @@ std::vector<KernelCase> BuildKernelCases(bool fast) {
     cases.push_back(std::move(scalar_twin));
   }
 
-  // SpMM / SpmmT over the Yelp-scale normalized adjacency, d = 64.
+  // SpMM over the Yelp-scale normalized adjacency, d = 64. The adjacency
+  // is its own transpose, so SpmmT on it is this same product.
   {
     auto g = std::make_shared<BipartiteGraph>(
         fast ? BipartiteGraph(4000, 2500, [] {
@@ -259,33 +260,6 @@ std::vector<KernelCase> BuildKernelCases(bool fast) {
       scalar_twin.force_scalar = true;
       cases.push_back(std::move(scalar_twin));
     }
-    // SpmmT through the permuted CSC mirror stream, plus its
-    // forced-scalar twin.
-    cases.push_back({"spmm_t", shape, work,
-                     [adj, h] {
-                       Matrix out;
-                       adj->matrix.SpmmT(*h, &out);
-                       return out;
-                     },
-                     "", sparse_bytes});
-    {
-      KernelCase scalar_twin = cases.back();
-      scalar_twin.name = "spmm_t_scalar";
-      scalar_twin.force_scalar = true;
-      cases.push_back(std::move(scalar_twin));
-    }
-
-    // Adjacency power A^3 x through the warm-mirror cache — the mixhop
-    // encoder's per-layer propagation pattern.
-    auto power = std::make_shared<AdjacencyPowerCache>(&adj->matrix);
-    cases.push_back({"spmm_power3", shape, 3.0 * work,
-                     [adj, power, h] {
-                       Matrix out;
-                       power->Apply(3, *h, &out);
-                       return out;
-                     },
-                     "", 3.0 * sparse_bytes});
-
     // Edge-weighted SpMM forward + backward (the GraphAug training step's
     // differentiable propagation), d = 32.
     const int64_t dw = 32;

@@ -96,7 +96,6 @@ struct AugmentorConfig {
 struct AugmenterInit {
   const BipartiteGraph* graph = nullptr;
   const NormalizedAdjacency* adj = nullptr;
-  const AdjacencyPowerCache* power_cache = nullptr;
   ParamStore* store = nullptr;  ///< host parameter store (trainable state)
   int dim = 0;
   int num_layers = 0;

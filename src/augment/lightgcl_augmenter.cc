@@ -4,15 +4,8 @@ namespace graphaug {
 
 void LightGclAugmenter::Init(const AugmenterInit& init) {
   num_layers_ = init.num_layers;
-  if (init.power_cache != nullptr) {
-    svd_ = RandomizedSvd(*init.power_cache, config_.rank,
-                         config_.power_iterations, config_.oversample,
-                         init.rng);
-  } else {
-    svd_ = RandomizedSvd(init.adj->matrix, config_.rank,
-                         config_.power_iterations, config_.oversample,
-                         init.rng);
-  }
+  svd_ = RandomizedSvd(init.adj->matrix, config_.rank,
+                       config_.power_iterations, config_.oversample, init.rng);
   const int64_t q = static_cast<int64_t>(svd_.s.size());
   s_col_ = Matrix(q, 1);
   for (int64_t j = 0; j < q; ++j) s_col_[j] = svd_.s[static_cast<size_t>(j)];

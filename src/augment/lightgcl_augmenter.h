@@ -7,8 +7,7 @@
 namespace graphaug {
 
 /// LightGCL-style SVD-guided augmentation: Init factorizes the normalized
-/// adjacency once with the randomized truncated SVD (through the host's
-/// warm AdjacencyPowerCache when available); Augment propagates the
+/// adjacency once with the randomized truncated SVD; Augment propagates the
 /// embedding table through the low-rank reconstruction
 ///   h_{l+1} = U diag(s) Vᵀ h_l
 /// and returns the layer-mean as a fully-encoded first view. The second

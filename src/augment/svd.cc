@@ -189,16 +189,4 @@ SvdResult RandomizedSvd(const CsrMatrix& a, int rank, int power_iters,
       power_iters, oversample, rng);
 }
 
-SvdResult RandomizedSvd(const AdjacencyPowerCache& cache, int rank,
-                        int power_iters, int oversample, Rng* rng) {
-  const CsrMatrix& a = cache.adjacency();
-  return RandomizedSvdImpl(
-      a.rows(), a.cols(),
-      [&cache](const Matrix& x, Matrix* out) { cache.Apply(1, x, out); },
-      [&cache](const Matrix& x, Matrix* out) {
-        cache.ApplyTransposed(1, x, out);
-      },
-      rank, power_iters, oversample, rng);
-}
-
 }  // namespace graphaug

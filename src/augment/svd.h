@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "graph/bipartite_graph.h"
 #include "graph/csr.h"
 #include "tensor/matrix.h"
 
@@ -28,13 +27,6 @@ struct SvdResult {
 /// `rank` sharpen the subspace; the result is truncated back to `rank`.
 SvdResult RandomizedSvd(const CsrMatrix& a, int rank, int power_iters,
                         int oversample, Rng* rng);
-
-/// Same factorization driven through an AdjacencyPowerCache (warm CSC
-/// mirror + reused scratch), for square adjacency matrices that already
-/// have one. Bitwise identical to the CsrMatrix overload on the cached
-/// matrix.
-SvdResult RandomizedSvd(const AdjacencyPowerCache& cache, int rank,
-                        int power_iters, int oversample, Rng* rng);
 
 /// Symmetric eigendecomposition of a small dense matrix by cyclic Jacobi
 /// rotations: returns eigenvalues (descending) and the matching

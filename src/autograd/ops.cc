@@ -13,15 +13,6 @@
 namespace graphaug::ag {
 namespace {
 
-/// Rows per chunk for the sparse kernels below: ~32K multiply-adds per
-/// chunk given the average row population, mirroring CsrMatrix::Spmm.
-int64_t SpmmRowGrain(int64_t rows, int64_t nnz, int64_t dense_cols) {
-  const int64_t per_row =
-      std::max<int64_t>(1, nnz / std::max<int64_t>(1, rows)) *
-      std::max<int64_t>(1, dense_cols);
-  return std::max<int64_t>(1, (int64_t{32} << 10) / per_row);
-}
-
 /// Elements per chunk of MapElements, as for the tensor elementwise ops.
 constexpr int64_t kMapGrain = 1 << 15;
 
@@ -312,25 +303,6 @@ Var Spmm(const CsrMatrix* csr, Var dense) {
                  });
 }
 
-Var SpmmPower(const AdjacencyPowerCache* cache, int k, Var dense) {
-  GA_CHECK_GE(k, 0);
-  Tape* t = dense.tape();
-  const int did = dense.id();
-  const CsrMatrix& m = cache->adjacency();
-  const double d = static_cast<double>(dense.cols());
-  const double nnz = static_cast<double>(m.nnz());
-  GA_AG_OP("SpmmPower", 2 * k * nnz * d,
-           k * (8 * nnz + 4 * d * (m.rows() + m.cols())));
-  Matrix y;
-  cache->Apply(k, dense.value(), &y);
-  return t->Emit(std::move(y), t->NeedsGrad(did),
-                 [cache, k, did](Tape* t, Matrix& up) {
-                   Matrix g;
-                   cache->ApplyTransposed(k, up, &g);
-                   t->AccumulateGrad(did, std::move(g));
-                 });
-}
-
 Var EdgeWeightedSpmm(const NormalizedAdjacency* adj, Var edge_w, Var dense) {
   Tape* t = dense.tape();
   const int wid = edge_w.id(), did = dense.id();
@@ -343,25 +315,14 @@ Var EdgeWeightedSpmm(const NormalizedAdjacency* adj, Var edge_w, Var dense) {
   const Matrix& w = edge_w.value();
   const Matrix& h = dense.value();
   GA_CHECK_EQ(h.rows(), m.cols());
+  GA_CHECK(m.symmetric()) << "EdgeWeightedSpmm needs a symmetric adjacency";
 
   // Forward: out[r] += base[k] * w[edge(k)] * h[col(k)]. Row-parallel;
   // output rows are disjoint so any thread count is bitwise identical.
   auto values = std::make_shared<std::vector<float>>(
       adj->WeightedValues(std::vector<float>(w.data(), w.data() + w.size())));
   Matrix y(m.rows(), h.cols());
-  const int64_t d = h.cols();
-  const auto& row_ptr = m.row_ptr();
-  const auto& col_idx = m.col_idx();
-  const simd::KernelTable& fwd_kt = simd::ActiveKernels();
-  ParallelFor(0, m.rows(), SpmmRowGrain(m.rows(), m.nnz(), d),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  const int64_t k0 = row_ptr[r];
-                  fwd_kt.spmm_segment(values->data() + k0,
-                                      col_idx.data() + k0, row_ptr[r + 1] - k0,
-                                      h.data(), d, y.row(r));
-                }
-              });
+  m.SpmmValues(values->data(), h, &y);
 
   const bool ng = t->NeedsGrad(wid) || t->NeedsGrad(did);
   return t->Emit(std::move(y), ng, [adj, wid, did, values](Tape* t,
@@ -372,18 +333,12 @@ Var EdgeWeightedSpmm(const NormalizedAdjacency* adj, Var edge_w, Var dense) {
     const Matrix& h = t->ValueOf(did);
     const int64_t d = h.cols();
     if (t->NeedsGrad(did)) {
-      // dH[col(k)] += value[k] * up[row(k)], computed as a race-free
-      // gather over the cached CSC mirror: each dH row is owned by exactly
-      // one chunk, and entries arrive in ascending original row — the
-      // serial scatter's accumulation order — so the result is bitwise
-      // identical to the serial formulation at any thread count. The
-      // per-step weighted values are permuted into mirror order once so
-      // the inner loop streams them contiguously instead of double-
-      // indirecting through the source permutation per nonzero.
-      const CscMirror& mir = m.Mirror();
-      const std::vector<float> pv = mir.PermuteValues(*values);
+      // dH = Wᵀ·up = W·up: the weighted matrix is bitwise symmetric (see
+      // WeightedValues), so row j of the product accumulates W[i][j] =
+      // W[j][i] in ascending i, the serial scatter's order, and the
+      // forward's value array serves the backward unchanged.
       Matrix gh(h.rows(), d);
-      CscMirrorSpmm(mir, pv.data(), up, &gh);
+      m.SpmmValues(values->data(), up, &gh);
       t->AccumulateGrad(did, std::move(gh));
     }
     if (t->NeedsGrad(wid)) {
@@ -394,7 +349,7 @@ Var EdgeWeightedSpmm(const NormalizedAdjacency* adj, Var edge_w, Var dense) {
       // two directions of one interaction) can map to the same edge.
       std::vector<float> per_nnz(static_cast<size_t>(m.nnz()), 0.f);
       const simd::KernelTable& bwd_kt = simd::ActiveKernels();
-      ParallelFor(0, m.rows(), SpmmRowGrain(m.rows(), m.nnz(), d),
+      ParallelFor(0, m.rows(), m.RowGrain(d),
                   [&](int64_t r0, int64_t r1) {
                     for (int64_t r = r0; r < r1; ++r) {
                       const float* urow = up.row(r);

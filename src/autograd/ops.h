@@ -55,12 +55,6 @@ Var MatMul(Var a, Var b, bool trans_a = false, bool trans_b = false);
 Var PairMlp(Var xu, Var xv, Var w1, Var b1, Var w2, Var b2, float slope);
 /// Sparse-dense product: csr * dense. The sparse matrix is constant.
 Var Spmm(const CsrMatrix* csr, Var dense);
-/// y = Ã^k x through an AdjacencyPowerCache (k >= 0) as a single tape
-/// node: forward chains k Spmm applications through the cache's scratch
-/// buffers, backward applies the transposed power via the prebuilt CSC
-/// mirror. With k == 1 this is Spmm with warm sparse state — the mixhop
-/// encoder's propagate step.
-Var SpmmPower(const AdjacencyPowerCache* cache, int k, Var dense);
 /// Sparse-dense product whose nonzero values are differentiable functions
 /// of per-interaction weights `edge_w` ((E x 1) column vector):
 ///   value[k] = adj->base_values[k] * edge_w[adj->nnz_to_edge[k]]

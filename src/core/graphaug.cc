@@ -30,7 +30,6 @@ void RecordAugmentTiming(const std::string& augmentor, const char* stage,
 GraphAug::GraphAug(const Dataset* dataset, const GraphAugConfig& config)
     : Recommender(dataset, config), gconfig_(config) {
   adj_ = graph_.BuildNormalizedAdjacency(gconfig_.self_loop_weight);
-  power_cache_ = std::make_unique<AdjacencyPowerCache>(&adj_.matrix);
   embeddings_ = store_.CreateNormal("embeddings", graph_.num_nodes(),
                                     config.dim, &rng_);
   if (gconfig_.use_mixhop) {
@@ -56,7 +55,6 @@ GraphAug::GraphAug(const Dataset* dataset, const GraphAugConfig& config)
   AugmenterInit init;
   init.graph = &graph_;
   init.adj = &adj_;
-  init.power_cache = power_cache_.get();
   init.store = &store_;
   init.dim = config.dim;
   init.num_layers = config.num_layers;
@@ -70,13 +68,12 @@ void GraphAug::OnEpochBegin() {
 
 Var GraphAug::EncodeBase(Tape* tape, Var base) {
   if (gconfig_.use_mixhop) {
-    return mixhop_->Encode(tape, power_cache_.get(), base);
+    return mixhop_->Encode(tape, &adj_.matrix, base);
   }
   Var h = base;
   for (const Linear& layer : gcn_layers_) {
-    h = ag::LeakyRelu(
-        layer.Forward(tape, ag::SpmmPower(power_cache_.get(), 1, h)),
-        config_.leaky_slope);
+    h = ag::LeakyRelu(layer.Forward(tape, ag::Spmm(&adj_.matrix, h)),
+                      config_.leaky_slope);
   }
   return h;
 }

@@ -91,9 +91,6 @@ class GraphAug : public Recommender {
 
   GraphAugConfig gconfig_;
   NormalizedAdjacency adj_;  ///< Ã with self-loops over I+J nodes
-  /// Warm CSC-mirror state for repeated Ã^m H products in the base
-  /// encoder path (constructed after adj_, which it points into).
-  std::unique_ptr<AdjacencyPowerCache> power_cache_;
   Parameter* embeddings_;
   std::unique_ptr<MixhopEncoder> mixhop_;
   std::vector<Linear> gcn_layers_;  ///< "w/o Mixhop" standard-GCN ablation

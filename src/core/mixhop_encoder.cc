@@ -89,12 +89,6 @@ Var MixhopEncoder::Encode(Tape* tape, const CsrMatrix* adj, Var base) const {
       tape, [adj](Var h) { return ag::Spmm(adj, h); }, base);
 }
 
-Var MixhopEncoder::Encode(Tape* tape, const AdjacencyPowerCache* cache,
-                          Var base) const {
-  return EncodeImpl(
-      tape, [cache](Var h) { return ag::SpmmPower(cache, 1, h); }, base);
-}
-
 Var MixhopEncoder::EncodeWeighted(Tape* tape, const NormalizedAdjacency* adj,
                                   Var edge_w, Var base) const {
   return EncodeImpl(

@@ -39,12 +39,6 @@ class MixhopEncoder {
   /// Encodes over a constant adjacency.
   Var Encode(Tape* tape, const CsrMatrix* adj, Var base) const;
 
-  /// Encodes over a constant adjacency through an AdjacencyPowerCache, so
-  /// the repeated Ã^m H products (and their transposed backward products)
-  /// reuse the warm CSC mirror. Bitwise identical to the CsrMatrix*
-  /// overload at any thread count.
-  Var Encode(Tape* tape, const AdjacencyPowerCache* cache, Var base) const;
-
   /// Encodes over a differentiable edge-weighted adjacency (the sampled
   /// augmented graphs G', G'' of Eq. 5).
   Var EncodeWeighted(Tape* tape, const NormalizedAdjacency* adj, Var edge_w,

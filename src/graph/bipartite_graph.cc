@@ -15,44 +15,6 @@ std::vector<float> NormalizedAdjacency::WeightedValues(
   return out;
 }
 
-AdjacencyPowerCache::AdjacencyPowerCache(const CsrMatrix* adj) : adj_(adj) {
-  GA_CHECK(adj != nullptr);
-  // Warm the mirror now: the first backward pass would otherwise pay the
-  // pattern build + value permutation inside a timed training step.
-  adj_->MirrorValues();
-}
-
-void AdjacencyPowerCache::Apply(int k, const Matrix& x, Matrix* out) const {
-  GA_CHECK_GE(k, 0);
-  GA_CHECK(out != &x);
-  if (k == 0) {
-    *out = x;
-    return;
-  }
-  const Matrix* src = &x;
-  for (int i = 0; i < k; ++i) {
-    Matrix* dst = (i + 1 == k) ? out : &scratch_[i & 1];
-    adj_->Spmm(*src, dst);
-    src = dst;
-  }
-}
-
-void AdjacencyPowerCache::ApplyTransposed(int k, const Matrix& x,
-                                          Matrix* out) const {
-  GA_CHECK_GE(k, 0);
-  GA_CHECK(out != &x);
-  if (k == 0) {
-    *out = x;
-    return;
-  }
-  const Matrix* src = &x;
-  for (int i = 0; i < k; ++i) {
-    Matrix* dst = (i + 1 == k) ? out : &scratch_[i & 1];
-    adj_->SpmmT(*src, dst);
-    src = dst;
-  }
-}
-
 BipartiteGraph::BipartiteGraph(int32_t num_users, int32_t num_items,
                                std::vector<Edge> edges)
     : num_users_(num_users), num_items_(num_items), edges_(std::move(edges)) {
@@ -139,13 +101,6 @@ NormalizedAdjacency BipartiteGraph::BuildNormalizedAdjacency(
   GA_CHECK_EQ(adj.matrix.nnz(), static_cast<int64_t>(tagged.size()))
       << "unexpected duplicate adjacency entries";
   return adj;
-}
-
-CsrMatrix BipartiteGraph::InteractionMatrix() const {
-  std::vector<CooEntry> entries;
-  entries.reserve(edges_.size());
-  for (const Edge& e : edges_) entries.push_back({e.user, e.item, 1.f});
-  return CsrMatrix::FromCoo(num_users_, num_items_, std::move(entries));
 }
 
 BipartiteGraph BipartiteGraph::WithExtraEdges(

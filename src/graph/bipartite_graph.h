@@ -35,40 +35,10 @@ struct NormalizedAdjacency {
 
   /// Rebuilds the CSR value array from per-interaction weights:
   /// value[k] = base_values[k] * (nnz_to_edge[k] >= 0 ? w[edge] : 1).
-  /// w.size() must equal the number of interactions.
+  /// w.size() must equal the number of interactions. Both directions of
+  /// an interaction share one base value and one weight, so the weighted
+  /// matrix is bitwise symmetric like `matrix`.
   std::vector<float> WeightedValues(const std::vector<float>& w) const;
-};
-
-/// Applies adjacency powers Ã^k X repeatedly over one fixed matrix — the
-/// mixhop encoder's A^m H products, which each training step pays
-/// L x max-hop times. Construction warms the adjacency's CSC mirror
-/// (pattern + permuted values) once, so every forward product and every
-/// transposed backward product streams cache-resident state instead of
-/// re-deriving it lazily per power, and a pair of ping-pong scratch
-/// buffers is reused across applications instead of allocating one
-/// intermediate per hop.
-///
-/// Results are bitwise identical to k successive Spmm / SpmmT calls at
-/// any thread count (the underlying kernels are deterministic and the
-/// chaining order is the same). The adjacency must outlive the cache and
-/// must not mutate its values while the cache is in use. One instance
-/// must not be used from several threads at once (the scratch buffers are
-/// shared); the kernels inside parallelize over the shared runtime.
-class AdjacencyPowerCache {
- public:
-  explicit AdjacencyPowerCache(const CsrMatrix* adj);
-
-  const CsrMatrix& adjacency() const { return *adj_; }
-
-  /// out = Ã^k x (k >= 0; k == 0 copies x). `out` must not alias `x`.
-  void Apply(int k, const Matrix& x, Matrix* out) const;
-
-  /// out = (Ã^T)^k x via the CSC mirror. `out` must not alias `x`.
-  void ApplyTransposed(int k, const Matrix& x, Matrix* out) const;
-
- private:
-  const CsrMatrix* adj_;
-  mutable Matrix scratch_[2];  ///< ping-pong intermediates, reused per call
 };
 
 /// Immutable bipartite user-item interaction graph. Construction sorts and
@@ -116,9 +86,6 @@ class BipartiteGraph {
   /// `self_loop_weight` of 0 omits self-loops (LightGCN style); 1 matches
   /// the Ã = D^{-1/2}(A+I)D^{-1/2} form used by the mixhop encoder.
   NormalizedAdjacency BuildNormalizedAdjacency(float self_loop_weight) const;
-
-  /// The plain I x J interaction matrix (values 1).
-  CsrMatrix InteractionMatrix() const;
 
   /// Returns a new graph with the given edges appended (dedup applied).
   BipartiteGraph WithExtraEdges(const std::vector<Edge>& extra) const;

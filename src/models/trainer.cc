@@ -47,9 +47,11 @@ TrainResult TrainAndEvaluate(Recommender* model, const Evaluator& evaluator,
           ->Set(health.param_norm);
     }
     model->DecayLearningRate();
-    const bool eval_now = (options.eval_every > 0 &&
-                           epoch % options.eval_every == 0) ||
-                          epoch == options.epochs;
+    const bool finite = std::isfinite(loss);
+    if (!finite) result.nonfinite_epoch = epoch;
+    const bool eval_now = finite && ((options.eval_every > 0 &&
+                                      epoch % options.eval_every == 0) ||
+                                     epoch == options.epochs);
     bool stop_early = false;
     obs::ReportEpoch report_rec;
     report_rec.epoch = epoch;
@@ -99,7 +101,7 @@ TrainResult TrainAndEvaluate(Recommender* model, const Evaluator& evaluator,
       report_rec.rss_bytes = obs::CurrentRssBytes();
       options.report->WriteEpoch(report_rec);
     }
-    if (stop_early) break;
+    if (stop_early || !finite) break;
   }
   if (profiling) obs::StopProfiler();
   result.train_seconds = total.ElapsedSeconds();

@@ -28,6 +28,9 @@ struct TrainResult {
   double train_seconds = 0;          ///< wall-clock training time
   int best_epoch = 0;
   double best_recall20 = 0;
+  /// First epoch whose training loss was not finite; training stopped
+  /// there and the metrics above must not be reported. 0 = none.
+  int nonfinite_epoch = 0;
 };
 
 /// Training-loop options.
@@ -53,7 +56,8 @@ struct TrainOptions {
 /// Drives epochs, periodic evaluation, learning-rate decay, early
 /// stopping, and convergence-history recording; keeps the metrics of the
 /// best epoch (by Recall@20) as the reported result, matching common
-/// practice for the paper's protocol.
+/// practice for the paper's protocol. Stops without evaluating at the
+/// first epoch whose loss is not finite (see TrainResult::nonfinite_epoch).
 TrainResult TrainAndEvaluate(Recommender* model, const Evaluator& evaluator,
                              const TrainOptions& options);
 

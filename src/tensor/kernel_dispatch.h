@@ -9,8 +9,8 @@ namespace graphaug::simd {
 
 /// Runtime-dispatched SIMD microkernel layer (DESIGN.md §9).
 ///
-/// Every hot inner loop — the packed-panel GEMM microkernel, the SpMM /
-/// SpmmT gather segment, elementwise maps, pinned-order reductions, and
+/// Every hot inner loop — the packed-panel GEMM microkernel, the SpMM
+/// gather segment, elementwise maps, pinned-order reductions, and
 /// the fused exp primitives behind LogSumExpRows / InfoNCE — is reached
 /// through a KernelTable of function pointers. Two tables exist: the
 /// portable scalar table (baseline ISA, always available) and the AVX2
@@ -49,8 +49,8 @@ struct KernelTable {
                      int64_t ldc, int mr, int nr);
 
   /// out_row[c] += sum over e in [0, count) of vals[e] * dense[idx[e]*d + c]
-  /// for c in [0, d). The shared row kernel of Spmm, the CSC-mirror SpmmT
-  /// variants, and the edge-weighted SpMM forward.
+  /// for c in [0, d). The row kernel of CsrMatrix::SpmmValues, behind
+  /// every sparse product (Spmm, SpmmT, the edge-weighted SpMM).
   void (*spmm_segment)(const float* vals, const int32_t* idx, int64_t count,
                        const float* dense, int64_t d, float* out_row);
 

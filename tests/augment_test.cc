@@ -89,7 +89,6 @@ class FrozenGraphAugGib {
         optimizer_(cfg.learning_rate, 0.9f, 0.999f, 1e-8f,
                    cfg.weight_decay) {
     adj_ = graph_.BuildNormalizedAdjacency(cfg.self_loop_weight);
-    cache_ = std::make_unique<AdjacencyPowerCache>(&adj_.matrix);
     embeddings_ = store_.CreateNormal("embeddings", graph_.num_nodes(),
                                       cfg.dim, &rng_);
     mixhop_ = std::make_unique<MixhopEncoder>(
@@ -117,7 +116,7 @@ class FrozenGraphAugGib {
     const int32_t off = graph_.num_users();
     const GibAugmentorConfig& gib = cfg_.augmentor.gib;
     Var base = ag::Leaf(tape, embeddings_);
-    Var h_bar = mixhop_->Encode(tape, cache_.get(), base);
+    Var h_bar = mixhop_->Encode(tape, &adj_.matrix, base);
     Var u = ag::GatherRows(h_bar, batch.users);
     Var p = ag::GatherRows(h_bar, OffsetItems(batch.pos_items, off));
     Var n = ag::GatherRows(h_bar, OffsetItems(batch.neg_items, off));
@@ -158,7 +157,6 @@ class FrozenGraphAugGib {
   Rng rng_;
   Adam optimizer_;
   NormalizedAdjacency adj_;
-  std::unique_ptr<AdjacencyPowerCache> cache_;
   ParamStore store_;
   Parameter* embeddings_ = nullptr;
   std::unique_ptr<MixhopEncoder> mixhop_;
@@ -491,23 +489,6 @@ TEST(RandomizedSvd, RecoversExactLowRankFactorization) {
     const float ref = std::sqrt(std::max(0.f, eigenvalues[k]));
     EXPECT_NEAR(svd.s[k], ref, 1e-3f * ref + 1e-4f);
   }
-}
-
-TEST(RandomizedSvd, PowerCacheOverloadMatchesCsrOverload) {
-  const SyntheticData& data = GeneratePreset("tiny");
-  BipartiteGraph g = data.dataset.TrainGraph();
-  NormalizedAdjacency adj = g.BuildNormalizedAdjacency(0.f);
-  AdjacencyPowerCache cache(&adj.matrix);
-
-  Rng rng_a(9), rng_b(9);
-  SvdResult via_csr = RandomizedSvd(adj.matrix, 4, 2, 3, &rng_a);
-  SvdResult via_cache = RandomizedSvd(cache, 4, 2, 3, &rng_b);
-  ASSERT_EQ(via_csr.s.size(), via_cache.s.size());
-  for (size_t k = 0; k < via_csr.s.size(); ++k) {
-    EXPECT_EQ(via_csr.s[k], via_cache.s[k]);
-  }
-  EXPECT_TRUE(AllClose(via_csr.u, via_cache.u, 0.f, 0.f));
-  EXPECT_TRUE(AllClose(via_csr.v, via_cache.v, 0.f, 0.f));
 }
 
 // ------------------------------------------------------------- registry

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 
@@ -16,6 +17,7 @@
 #include "common/parallel.h"
 #include "data/synthetic.h"
 #include "tensor/init.h"
+#include "tensor/kernel_dispatch.h"
 #include "tensor/ops.h"
 
 namespace graphaug {
@@ -447,6 +449,125 @@ TEST_F(OpFixture, EdgeWeightedSpmmWithUnitWeightsMatchesSpmm) {
   Var weighted = ag::EdgeWeightedSpmm(&adj, w, hv);
   Var plain = ag::Spmm(&adj.matrix, hv);
   EXPECT_TRUE(AllClose(weighted.value(), plain.value()));
+}
+
+/// Bipartite graph whose item degrees are skewed toward low ids.
+BipartiteGraph SkewedGraph(int32_t users, int32_t items, int edges,
+                           uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> es;
+  for (int i = 0; i < edges; ++i) {
+    const uint64_t a = rng.UniformInt(static_cast<uint64_t>(items));
+    const uint64_t b = rng.UniformInt(static_cast<uint64_t>(items));
+    es.push_back({static_cast<int32_t>(rng.UniformInt(
+                      static_cast<uint64_t>(users))),
+                  static_cast<int32_t>(std::min(a, b))});
+  }
+  return BipartiteGraph(users, items, std::move(es));
+}
+
+/// MHCN-style user hypergraph: co-interaction counts, row-normalized,
+/// so the matrix is not its own transpose.
+CsrMatrix CoInteractionHypergraph(const BipartiteGraph& g) {
+  std::vector<CooEntry> entries;
+  std::vector<int> counts(static_cast<size_t>(g.num_users()));
+  for (int32_t u = 0; u < g.num_users(); ++u) {
+    std::fill(counts.begin(), counts.end(), 0);
+    int total = 0;
+    for (int32_t v : g.ItemsOf(u)) {
+      for (int32_t u2 : g.UsersOf(v)) {
+        if (u2 != u) {
+          ++counts[static_cast<size_t>(u2)];
+          ++total;
+        }
+      }
+    }
+    for (int32_t u2 = 0; u2 < g.num_users(); ++u2) {
+      const int c = counts[static_cast<size_t>(u2)];
+      if (c > 0) {
+        entries.push_back({u, u2, static_cast<float>(c) / total});
+      }
+    }
+  }
+  return CsrMatrix::FromCoo(g.num_users(), g.num_users(), std::move(entries));
+}
+
+/// Serial scatter reference for Aᵀ·up: each output row takes its terms
+/// in ascending row of `a`.
+Matrix ScatterT(const CsrMatrix& a, const std::vector<float>& values,
+                const Matrix& up) {
+  Matrix ref(a.cols(), up.cols());
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    for (int64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+      for (int64_t c = 0; c < up.cols(); ++c) {
+        ref.at(a.col_idx()[k], c) +=
+            values[static_cast<size_t>(k)] * up.at(r, c);
+      }
+    }
+  }
+  return ref;
+}
+
+TEST_F(OpFixture, SparseGradientsMatchSerialReferencesBitwise) {
+  const BipartiteGraph g = SkewedGraph(300, 200, 4000, 31);
+  const CsrMatrix hyper = CoInteractionHypergraph(g);
+  ASSERT_FALSE(hyper.symmetric());
+  for (const float self_loop : {0.f, 1.f}) {
+    const NormalizedAdjacency adj = g.BuildNormalizedAdjacency(self_loop);
+    for (const int64_t d : {13, 32}) {
+      Parameter* w = MakeParam(g.num_edges(), 1, 0.3f);
+      Parameter* h = MakeParam(g.num_nodes(), d);
+      Parameter* x = MakeParam(g.num_users(), d);
+      Matrix up(g.num_nodes(), d), up_users(g.num_users(), d);
+      FillNormal(&up, 0x5eedULL + d, 0.f, 1.f);
+      FillNormal(&up_users, 0x5eedULL + 2 * d, 0.f, 1.f);
+      const std::vector<float> w_vec(w->value.data(),
+                                     w->value.data() + w->value.size());
+      const std::vector<float> values = adj.WeightedValues(w_vec);
+      const Matrix ref_dh = ScatterT(adj.matrix, values, up);
+      const Matrix ref_dx = ScatterT(hyper, hyper.values(), up_users);
+      for (const bool scalar : {false, true}) {
+        ForceScalarKernels(scalar);
+        // dw[edge(k)] += base[k] * <up[row(k)], h[col(k)]> in ascending k,
+        // with the active table's dot.
+        const simd::KernelTable& kt = simd::ActiveKernels();
+        Matrix ref_dw(g.num_edges(), 1);
+        for (int64_t r = 0; r < adj.matrix.rows(); ++r) {
+          for (int64_t k = adj.matrix.row_ptr()[r];
+               k < adj.matrix.row_ptr()[r + 1]; ++k) {
+            const int64_t e = adj.nnz_to_edge[static_cast<size_t>(k)];
+            if (e < 0) continue;
+            ref_dw[e] += adj.base_values[static_cast<size_t>(k)] *
+                         static_cast<float>(kt.dot(
+                             up.row(r),
+                             h->value.row(adj.matrix.col_idx()[k]), d));
+          }
+        }
+        for (const int threads : {1, 2, 7}) {
+          SetNumThreads(threads);
+          const std::string where = "self_loop=" + std::to_string(self_loop) +
+                                    " d=" + std::to_string(d) +
+                                    " threads=" + std::to_string(threads) +
+                                    " scalar=" + std::to_string(scalar);
+          w->ZeroGrad();
+          h->ZeroGrad();
+          x->ZeroGrad();
+          Tape tape;
+          Var y = ag::EdgeWeightedSpmm(&adj, ag::Leaf(&tape, w),
+                                       ag::Leaf(&tape, h));
+          Var yu = ag::Spmm(&hyper, ag::Leaf(&tape, x));
+          tape.Backward(ag::Add(
+              ag::SumAll(ag::Mul(y, ag::Constant(&tape, up))),
+              ag::SumAll(ag::Mul(yu, ag::Constant(&tape, up_users)))));
+          EXPECT_TRUE(SameBits(h->grad, ref_dh)) << "dH " << where;
+          EXPECT_TRUE(SameBits(w->grad, ref_dw)) << "dw " << where;
+          EXPECT_TRUE(SameBits(x->grad, ref_dx)) << "Spmm dx " << where;
+        }
+      }
+    }
+  }
+  ForceScalarKernels(false);
+  SetNumThreads(1);
 }
 
 // ----------------------------------------------------------- composite ops

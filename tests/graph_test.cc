@@ -8,6 +8,7 @@
 #include <cstring>
 #include <set>
 
+#include "common/cpu_features.h"
 #include "graph/bipartite_graph.h"
 #include "graph/corruption.h"
 #include "graph/csr.h"
@@ -49,24 +50,12 @@ TEST(CsrTest, SpmmTMatchesTransposedSpmm) {
   EXPECT_TRUE(AllClose(a, b));
 }
 
-TEST(CsrTest, WithValuesSwapsValuesOnly) {
-  CsrMatrix m = CsrMatrix::FromCoo(2, 2, {{0, 0, 1.f}, {1, 1, 1.f}});
-  CsrMatrix m2 = m.WithValues({3.f, 4.f});
-  EXPECT_FLOAT_EQ(m2.ToDense().at(1, 1), 4.f);
-  EXPECT_DEATH(m.WithValues({1.f}), "");
-}
-
-TEST(CsrTest, SpmmTBitwiseMatchesSerialScatter) {
-  CsrMatrix m = CsrMatrix::FromCoo(
-      5, 4,
-      {{0, 1, 2.f}, {1, 0, -1.f}, {1, 3, 0.5f}, {2, 2, 1.5f},
-       {3, 1, 4.f}, {4, 0, -2.5f}, {4, 3, 3.f}});
-  Matrix x(5, 3);
-  for (int64_t i = 0; i < x.size(); ++i) x[i] = 0.25f * static_cast<float>(i);
-  // Independent reference: the serial scatter over the original rows. It
-  // accumulates each output row in ascending original-row order, the
-  // order the mirror stream reproduces, so the match is bitwise.
-  Matrix ref(m.cols(), x.cols());
+/// Transposed-product reference: a serial scatter over the rows of `m`,
+/// accumulating into a copy of `init`. Each output row receives its
+/// terms in ascending original row, the order SpmmT promises.
+Matrix SerialScatterT(const CsrMatrix& m, const Matrix& x,
+                      const Matrix& init) {
+  Matrix ref = init;
   for (int64_t r = 0; r < m.rows(); ++r) {
     for (int64_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {
       for (int64_t c = 0; c < x.cols(); ++c) {
@@ -74,55 +63,65 @@ TEST(CsrTest, SpmmTBitwiseMatchesSerialScatter) {
       }
     }
   }
-  Matrix out;
-  m.SpmmT(x, &out);
-  ASSERT_TRUE(out.SameShape(ref));
-  EXPECT_EQ(std::memcmp(ref.data(), out.data(), sizeof(float) * ref.size()),
-            0);
+  return ref;
 }
 
-TEST(CsrTest, MutatingValuesInvalidatesMirrorValues) {
-  // Satellite fix: building the mirror, then mutating values in place,
-  // must not leave SpmmT reading a stale permuted-values cache.
-  CsrMatrix m = CsrMatrix::FromCoo(
-      3, 3, {{0, 1, 1.f}, {1, 0, 2.f}, {1, 2, 3.f}, {2, 1, 4.f}});
-  Matrix x(3, 2, std::vector<float>{1, 2, 3, 4, 5, 6});
-  Matrix before;
-  m.SpmmT(x, &before);  // builds and caches mirror pattern + values
-
-  (*m.mutable_values())[1] = 20.f;  // the (1,0) entry
-  Matrix after, fresh_ref;
-  m.SpmmT(x, &after);
-  m.Transpose().Spmm(x, &fresh_ref);  // independent reference, new values
-  EXPECT_TRUE(AllClose(after, fresh_ref));
-  EXPECT_FALSE(AllClose(after, before));
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
 }
 
-TEST(CsrTest, WithValuesCopyMutationDoesNotCorruptSharedCaches) {
-  // The mirror *pattern* is shared across WithValues copies; the permuted
-  // values cache must not be. Mutating a copy in place must neither read
-  // stale state in the copy nor poison the original.
-  CsrMatrix m = CsrMatrix::FromCoo(
-      4, 3, {{0, 0, 1.f}, {1, 2, 2.f}, {2, 1, 3.f}, {3, 0, 4.f}});
-  Matrix x(4, 2);
-  for (int64_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i + 1);
-  Matrix orig;
-  m.SpmmT(x, &orig);  // warm the shared caches on the original
-
-  CsrMatrix c = m.WithValues({10.f, 20.f, 30.f, 40.f});
-  Matrix copy_before;
-  c.SpmmT(x, &copy_before);  // warms the copy's own values cache
-  (*c.mutable_values())[2] = -30.f;
-  Matrix copy_after, copy_ref;
-  c.SpmmT(x, &copy_after);
-  c.Transpose().Spmm(x, &copy_ref);
-  EXPECT_TRUE(AllClose(copy_after, copy_ref));
-  EXPECT_FALSE(AllClose(copy_after, copy_before));
-
-  // The original still sees its own values.
-  Matrix orig_again;
-  m.SpmmT(x, &orig_again);
-  EXPECT_TRUE(AllClose(orig, orig_again));
+TEST(CsrTest, SpmmTBitwiseMatchesSerialScatter) {
+  BipartiteGraph g(9, 7,
+                   {{0, 0}, {0, 3}, {1, 1}, {2, 3}, {2, 6}, {3, 0}, {4, 2},
+                    {5, 5}, {6, 1}, {6, 4}, {7, 6}, {8, 0}, {8, 2}});
+  struct Case {
+    const char* name;
+    CsrMatrix m;
+    bool symmetric;
+  };
+  const Case cases[] = {
+      {"normalized adjacency", g.BuildNormalizedAdjacency(1.f).matrix, true},
+      {"symmetric pattern, asymmetric values",
+       CsrMatrix::FromCoo(
+           3, 3, {{0, 1, 1.f}, {1, 0, 2.f}, {1, 2, 3.f}, {2, 1, 4.f}}),
+       false},
+      // Equal under ==, different bits: the transpose holds -0.f where the
+      // matrix holds +0.f, which an accumulation into -0.f can tell apart.
+      {"+0/-0 transpose pair",
+       CsrMatrix::FromCoo(2, 2, {{0, 0, 1.5f}, {0, 1, 0.f}, {1, 0, -0.f}}),
+       false},
+      {"rectangular",
+       CsrMatrix::FromCoo(5, 4,
+                          {{0, 1, 2.f}, {1, 0, -1.f}, {1, 3, 0.5f},
+                           {2, 2, 1.5f}, {3, 1, 4.f}, {4, 0, -2.5f},
+                           {4, 3, 3.f}}),
+       false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.m.symmetric(), c.symmetric) << c.name;
+    Matrix x(c.m.rows(), 3);
+    for (int64_t i = 0; i < x.size(); ++i) {
+      x[i] = 0.25f * static_cast<float>(i + 1);
+    }
+    for (const float init_value : {0.f, -0.f}) {
+      const Matrix init(c.m.cols(), x.cols(), init_value);
+      const Matrix ref = SerialScatterT(c.m, x, init);
+      for (const bool scalar : {false, true}) {
+        ForceScalarKernels(scalar);
+        Matrix out = init;
+        c.m.SpmmT(x, &out, /*accumulate=*/true);
+        EXPECT_TRUE(SameBits(ref, out))
+            << c.name << " init=" << init_value << " scalar=" << scalar;
+        if (c.symmetric) {
+          Matrix fwd = init;
+          c.m.Spmm(x, &fwd, /*accumulate=*/true);
+          EXPECT_TRUE(SameBits(fwd, out)) << c.name;
+        }
+      }
+    }
+  }
+  ForceScalarKernels(false);
 }
 
 TEST(BipartiteGraphTest, DedupsAndIndexes) {
@@ -145,6 +144,10 @@ TEST(BipartiteGraphTest, NormalizedAdjacencyIsSymmetric) {
       EXPECT_NEAR(d.at(i, j), d.at(j, i), 1e-6);
     }
   }
+  // Both directions of an edge carry the same float, so the symmetry is
+  // exact and SpmmT can run Spmm over the matrix itself.
+  EXPECT_TRUE(adj.matrix.symmetric());
+  EXPECT_TRUE(g.BuildNormalizedAdjacency(0.f).matrix.symmetric());
 }
 
 TEST(BipartiteGraphTest, NormalizationCoefficients) {

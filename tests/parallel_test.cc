@@ -20,7 +20,6 @@
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
 #include "common/parallel.h"
-#include "core/mixhop_encoder.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "graph/bipartite_graph.h"
@@ -315,7 +314,7 @@ TEST(ParallelKernelsTest, SpmmAndSpmmTBitwiseIdenticalAcrossThreadCounts) {
   }
   // Independent bitwise reference for the transposed product: a scalar
   // scatter over the original rows accumulates each output row in
-  // ascending original-row order, the order the mirror stream keeps.
+  // ascending original-row order, the order SpmmT keeps.
   const CsrMatrix& a = adj.matrix;
   Matrix scatter(a.cols(), h.cols());
   for (int64_t r = 0; r < a.rows(); ++r) {
@@ -327,19 +326,12 @@ TEST(ParallelKernelsTest, SpmmAndSpmmTBitwiseIdenticalAcrossThreadCounts) {
   }
   EXPECT_TRUE(BitwiseEqual(ref_bwd, scatter));
 
-  // Cross-check the cached-transpose gather against the explicit
-  // transposed matrix product (same math, independent code path).
+  // Cross-check against the explicit transposed matrix product (same
+  // math, independent code path).
   Matrix via_transpose;
   adj.matrix.Transpose().Spmm(h, &via_transpose);
   EXPECT_TRUE(AllClose(ref_bwd, via_transpose, 1e-5f, 1e-6f));
 
-  // WithValues shares the pattern cache; products must use the new values.
-  std::vector<float> doubled = adj.matrix.values();
-  for (float& v : doubled) v *= 2.f;
-  CsrMatrix scaled = adj.matrix.WithValues(doubled);
-  Matrix scaled_bwd;
-  scaled.SpmmT(h, &scaled_bwd);
-  EXPECT_TRUE(AllClose(scaled_bwd, Scale(ref_bwd, 2.f), 1e-5f, 1e-6f));
 }
 
 TEST(ParallelScopeTest, WorkerChunkAllocationsChargeToDispatchingOp) {
@@ -366,81 +358,6 @@ TEST(ParallelScopeTest, WorkerChunkAllocationsChargeToDispatchingOp) {
   ASSERT_TRUE(tags.count("ParallelTestAllocOp"));
   EXPECT_EQ(tags.at("ParallelTestAllocOp").count, kChunks);
   EXPECT_EQ(tags.count("(untagged)"), 0u);
-}
-
-TEST(ParallelKernelsTest, AdjacencyPowerCacheBitwiseEqualsChainedSpmm) {
-  // Satellite requirement: A^k x through the cached mirror must be
-  // bitwise equal to k successive Spmm calls for k in {1, 2, 3} at every
-  // thread count (and likewise for the transposed powers).
-  ThreadCountGuard guard;
-  BipartiteGraph g = RandomGraph(211, 167, 3500, 19);
-  NormalizedAdjacency adj = g.BuildNormalizedAdjacency(1.f);
-  AdjacencyPowerCache cache(&adj.matrix);
-  Rng rng(20);
-  Matrix x(g.num_nodes(), 24);
-  InitNormal(&x, &rng);
-
-  for (int t : kThreadCounts) {
-    SetNumThreads(t);
-    for (int k = 1; k <= 3; ++k) {
-      Matrix chained = x;
-      Matrix chained_t = x;
-      for (int i = 0; i < k; ++i) {
-        Matrix next, next_t;
-        adj.matrix.Spmm(chained, &next);
-        adj.matrix.SpmmT(chained_t, &next_t);
-        chained = std::move(next);
-        chained_t = std::move(next_t);
-      }
-      Matrix cached, cached_t;
-      cache.Apply(k, x, &cached);
-      cache.ApplyTransposed(k, x, &cached_t);
-      EXPECT_TRUE(BitwiseEqual(chained, cached))
-          << "k=" << k << " threads=" << t;
-      EXPECT_TRUE(BitwiseEqual(chained_t, cached_t))
-          << "k=" << k << " threads=" << t;
-    }
-    // k = 0 is the identity.
-    Matrix id;
-    cache.Apply(0, x, &id);
-    EXPECT_TRUE(BitwiseEqual(x, id));
-  }
-}
-
-TEST(ParallelKernelsTest, MixhopPowerCacheEncodeMatchesPlainEncode) {
-  // The SpmmPower-based encoder path (GraphAug's EncodeBase) must produce
-  // the same forward values and parameter gradients as the plain Spmm
-  // path at any thread count — the cache is a performance detail, not a
-  // semantic one.
-  ThreadCountGuard guard;
-  BipartiteGraph g = RandomGraph(101, 73, 1500, 23);
-  NormalizedAdjacency adj = g.BuildNormalizedAdjacency(0.f);
-  AdjacencyPowerCache cache(&adj.matrix);
-  Rng rng(24);
-  ParamStore store;
-  MixhopEncoder enc(&store, "mix", 8, 2, {0, 1, 2}, 0.5f, &rng);
-  Parameter* base = store.CreateNormal("emb", g.num_nodes(), 8, &rng);
-
-  auto run = [&](bool use_cache, Matrix* out, Matrix* gbase) {
-    base->ZeroGrad();
-    Tape tape;
-    Var h = use_cache ? enc.Encode(&tape, &cache, ag::Leaf(&tape, base))
-                      : enc.Encode(&tape, &adj.matrix, ag::Leaf(&tape, base));
-    *out = h.value();
-    tape.Backward(ag::MeanAll(ag::Square(h)));
-    *gbase = base->grad;
-  };
-
-  SetNumThreads(1);
-  Matrix ref_out, ref_grad;
-  run(/*use_cache=*/false, &ref_out, &ref_grad);
-  for (int t : kThreadCounts) {
-    SetNumThreads(t);
-    Matrix out, grad;
-    run(/*use_cache=*/true, &out, &grad);
-    EXPECT_TRUE(BitwiseEqual(ref_out, out)) << "threads=" << t;
-    EXPECT_TRUE(BitwiseEqual(ref_grad, grad)) << "threads=" << t;
-  }
 }
 
 TEST(ParallelKernelsTest, EdgeWeightedSpmmBitwiseIdenticalAcrossThreadCounts) {

@@ -177,7 +177,7 @@ TEST(SimdParityTest, SpmmTParityWithSerialScatter) {
   const CsrMatrix m = SparseWithEdgeCases(53, 41, 13);
   const Matrix h = RandomMatrix(53, 19, 42);
   // Independent reference: a scalar scatter over the original rows, which
-  // accumulates each output row in the mirror stream's order.
+  // accumulates each output row in the order SpmmT keeps.
   Matrix reference(m.cols(), h.cols());
   for (int64_t r = 0; r < m.rows(); ++r) {
     for (int64_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {

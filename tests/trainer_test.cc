@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "models/registry.h"
@@ -83,6 +85,38 @@ TEST(TrainerTest, FinalEpochAlwaysEvaluated) {
   TrainResult result = TrainAndEvaluate(model.get(), eval, opts);
   ASSERT_EQ(result.history.size(), 2u);
   EXPECT_EQ(result.history.back().epoch, 5);
+}
+
+TEST(TrainerTest, StopsAtFirstNonFiniteLoss) {
+  SyntheticData data = GeneratePreset("tiny");
+  ModelConfig cfg = TinyConfig();
+  cfg.learning_rate = 1e30f;  // diverges within the first epochs
+  auto model = CreateModel("LightGCN", &data.dataset, cfg);
+  Evaluator eval(&data.dataset, {20, 40});
+  TrainOptions opts;
+  opts.epochs = 10;
+  opts.eval_every = 1;
+  TrainResult result = TrainAndEvaluate(model.get(), eval, opts);
+  ASSERT_GT(result.nonfinite_epoch, 0);
+  ASSERT_LT(result.nonfinite_epoch, opts.epochs);
+  // Every epoch before the failing one was evaluated; the failing one
+  // and everything after it were not run or scored.
+  ASSERT_EQ(static_cast<int>(result.history.size()),
+            result.nonfinite_epoch - 1);
+  for (const EpochRecord& r : result.history) {
+    EXPECT_TRUE(std::isfinite(r.loss));
+    EXPECT_LT(r.epoch, result.nonfinite_epoch);
+  }
+}
+
+TEST(TrainerTest, FiniteRunReportsNoNonFiniteEpoch) {
+  SyntheticData data = GeneratePreset("tiny");
+  auto model = CreateModel("LightGCN", &data.dataset, TinyConfig());
+  Evaluator eval(&data.dataset, {20, 40});
+  TrainOptions opts;
+  opts.epochs = 2;
+  opts.eval_every = 1;
+  EXPECT_EQ(TrainAndEvaluate(model.get(), eval, opts).nonfinite_epoch, 0);
 }
 
 }  // namespace

@@ -167,12 +167,27 @@ bool ValidTrainingConfig(const char* cmd, const ModelConfig& cfg, int epochs,
       return false;
     }
   }
-  if (!std::isfinite(cfg.learning_rate) || cfg.learning_rate <= 0.f) {
-    std::fprintf(stderr, "%s: --lr must be finite and > 0 (got %g)\n", cmd,
-                 static_cast<double>(cfg.learning_rate));
-    return false;
+  struct Positive {
+    const char* flag;
+    float value;
+  };
+  for (const Positive& p : {Positive{"lr", cfg.learning_rate},
+                            Positive{"temperature", cfg.temperature}}) {
+    if (!std::isfinite(p.value) || p.value <= 0.f) {
+      std::fprintf(stderr, "%s: --%s must be finite and > 0 (got %g)\n", cmd,
+                   p.flag, static_cast<double>(p.value));
+      return false;
+    }
   }
   return true;
+}
+
+/// Reports a training run whose loss stopped being finite; no metric or
+/// output of it is worth reporting.
+int NonFiniteLoss(const char* cmd, int epoch) {
+  std::fprintf(stderr, "%s: loss is not finite at epoch %d; nothing reported\n",
+               cmd, epoch);
+  return 1;
 }
 
 int CmdGenerate(const FlagParser& flags) {
@@ -279,6 +294,9 @@ int CmdTrain(const FlagParser& flags) {
     options.report = &report;
   }
   TrainResult result = TrainAndEvaluate(model.get(), evaluator, options);
+  if (result.nonfinite_epoch > 0) {
+    return NonFiniteLoss("train", result.nonfinite_epoch);
+  }
   GA_TRACE_SPAN("write_outputs");
   if (report.is_open()) {
     obs::ReportFooter footer;
@@ -508,8 +526,8 @@ int CmdDenoise(const FlagParser& flags) {
                  augmentor.c_str());
     return 2;
   }
-  for (int e = 0; e < epochs; ++e) {
-    model.TrainEpoch();
+  for (int e = 1; e <= epochs; ++e) {
+    if (!std::isfinite(model.TrainEpoch())) return NonFiniteLoss("denoise", e);
     model.DecayLearningRate();
   }
   std::vector<float> probs = model.EdgeProbabilities();

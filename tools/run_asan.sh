@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Builds the Address+UBSanitizer preset and runs the memory-sensitive
-# tests (the parallel runtime, the CSR mirror indexing tests, the
+# tests (the parallel runtime, the CSR transpose indexing tests, the
 # retrieval engines — the panel scan walks zero-padded packed buffers
 # whose indexing must never stray — the SIMD kernel tables, whose vector
 # tails and odd-offset starts must stay in bounds, the obs layer, whose

@@ -119,7 +119,8 @@ for sub in train denoise; do
   [ "$sub" = train ] && model=(--model=LightGCN)
   for bad in --epochs=0 --dim=0 --layers=-1 --batch=0 --lr=nan --lr=0 \
              --threads=-2 --epochs=abc --lr=x --batches-per-epoch= \
-             --batches-per-epoch=-1 --eval-every=0 --epochs=4294967297; do
+             --batches-per-epoch=-1 --eval-every=0 --epochs=4294967297 \
+             --temperature=0 --temperature=nan; do
     rc=0
     "$CLI" "$sub" --preset=tiny "${model[@]}" "$bad" --log-level=warn \
       >"$WORK/out.txt" 2>"$WORK/err.txt" || rc=$?
@@ -131,6 +132,23 @@ for sub in train denoise; do
       echo "FAIL: $sub $bad must print one line, got:" >&2
       cat "$WORK/err.txt" >&2; exit 1; }
   done
+done
+
+# A run whose loss stops being finite fails loudly: one line naming the
+# epoch and exit 1, and no metric (or flagged-edge list) on stdout.
+for sub in train denoise; do
+  model=()
+  [ "$sub" = train ] && model=(--model=LightGCN)
+  rc=0
+  "$CLI" "$sub" --preset=tiny "${model[@]}" --lr=1e30 --epochs=2 \
+    --log-level=warn >"$WORK/out.txt" 2>"$WORK/err.txt" || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "FAIL: $sub --lr=1e30 exited $rc (want 1)" >&2; exit 1
+  fi
+  grep -q "not finite at epoch" "$WORK/err.txt" &&
+    [ "$(wc -l <"$WORK/err.txt")" -eq 1 ] && [ ! -s "$WORK/out.txt" ] || {
+    echo "FAIL: $sub --lr=1e30 must print one line and no result, got:" >&2
+    cat "$WORK/err.txt" "$WORK/out.txt" >&2; exit 1; }
 done
 
 echo "obs smoke ok: metrics=$(wc -c <"$METRICS")B trace=$(wc -c <"$TRACE")B" \
