@@ -13,9 +13,16 @@ namespace graphaug {
 namespace {
 
 /// Set for a team worker's whole life and on a dispatching thread while it
-/// runs its share of a region, so a ParallelFor issued from inside a chunk
-/// runs inline instead of re-entering the team.
+/// runs the chunks of a multi-chunk region, so a ParallelFor issued from
+/// inside a chunk runs inline instead of re-entering the team.
 thread_local bool t_in_region = false;
+
+/// Estimated remaining work, chunk 0's time x (chunks - 1), below which a
+/// region's other chunks stay on the dispatching thread. Waking helpers
+/// costs futex wake/park CPU and cache-line migration; below this the
+/// wake-ups cost more than the work they would share. Chosen from a sweep
+/// of 100/200/500/1000 us on perfbench gib-gowalla (DESIGN.md §6).
+constexpr double kBreakEvenNs = 500e3;
 
 /// Worker lifecycle hooks (SetWorkerThreadHooks). Atomic so installation
 /// does not race worker startup; zero-initialized, hence safe to read
@@ -33,6 +40,7 @@ std::atomic<void (*)(const void*)> g_tag_exit{nullptr};
 
 std::atomic<int64_t> g_stat_pool_regions{0};
 std::atomic<int64_t> g_stat_serial_regions{0};
+std::atomic<int64_t> g_stat_declined_regions{0};
 std::atomic<int64_t> g_stat_pool_chunks{0};
 std::atomic<int64_t> g_stat_busy_ns{0};
 std::atomic<int64_t> g_stat_wall_ns{0};
@@ -80,7 +88,8 @@ void RunChunks(Region& r) {
 /// dispatches a region. Workers sleep on a condvar between regions; a
 /// region bumps the generation and opens at most min(chunks, width) - 1
 /// join slots, each claimed by one woken worker. The dispatcher runs
-/// chunks too, then waits for the workers that joined.
+/// chunks too, then waits for the workers that joined. ParallelFor hands
+/// it a region's chunks 1..n-1 only, after running chunk 0 itself.
 class Team {
  public:
   explicit Team(int width) {
@@ -136,9 +145,7 @@ class Team {
       open_slots_ = helpers;
     }
     for (int i = 0; i < helpers; ++i) cv_work_.notify_one();
-    t_in_region = true;
     RunChunks(region_);
-    t_in_region = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       // Every chunk is claimed: slots no worker took yet have nothing left.
@@ -265,6 +272,8 @@ ParallelStats GetParallelStats() {
   ParallelStats s;
   s.pool_regions = g_stat_pool_regions.load(std::memory_order_relaxed);
   s.serial_regions = g_stat_serial_regions.load(std::memory_order_relaxed);
+  s.declined_regions =
+      g_stat_declined_regions.load(std::memory_order_relaxed);
   s.pool_chunks = g_stat_pool_chunks.load(std::memory_order_relaxed);
   s.busy_ns = g_stat_busy_ns.load(std::memory_order_relaxed);
   s.wall_ns = g_stat_wall_ns.load(std::memory_order_relaxed);
@@ -278,6 +287,7 @@ void SetParallelStatsEnabled(bool enabled) {
 void ResetParallelStats() {
   g_stat_pool_regions.store(0, std::memory_order_relaxed);
   g_stat_serial_regions.store(0, std::memory_order_relaxed);
+  g_stat_declined_regions.store(0, std::memory_order_relaxed);
   g_stat_pool_chunks.store(0, std::memory_order_relaxed);
   g_stat_busy_ns.store(0, std::memory_order_relaxed);
   g_stat_wall_ns.store(0, std::memory_order_relaxed);
@@ -288,23 +298,44 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   const int64_t n = end - begin;
   if (n <= 0) return;
   grain = std::max<int64_t>(1, grain);
+  Team* team = nullptr;
   if (n > grain && !t_in_region) {
-    Team* team = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(g_mu);
-      team = TeamLocked();
+    std::lock_guard<std::mutex> lock(g_mu);
+    team = TeamLocked();
+  }
+  // Inline chunks need no observer: the caller's own scope is current.
+  if (team == nullptr) {
+    g_stat_serial_regions.fetch_add(1, std::memory_order_relaxed);
+    for (int64_t b = begin; b < end; b += grain) {
+      fn(b, std::min(end, b + grain));
     }
-    if (team != nullptr && team->TryRun(begin, end, grain,
-                                        (n + grain - 1) / grain, fn)) {
-      return;
+    return;
+  }
+  // Run chunk 0 here and time it. Only when the remaining chunks' estimated
+  // work pays for waking helpers, and at least two remain to share, do they
+  // go to the team; otherwise this thread walks them in chunk order. The
+  // remaining range [begin + grain, end) has the same chunk boundaries.
+  const int64_t chunks = (n + grain - 1) / grain;
+  t_in_region = true;
+  const int64_t t0 = StatClockNs();
+  fn(begin, begin + grain);
+  const int64_t chunk0_ns = StatClockNs() - t0;
+  const double estimate_ns =
+      static_cast<double>(chunk0_ns) * static_cast<double>(chunks - 1);
+  const bool pays = chunks > 2 && estimate_ns >= kBreakEvenNs;
+  if (pays && team->TryRun(begin + grain, end, grain, chunks - 1, fn)) {
+    if (g_stat_timing.load(std::memory_order_relaxed)) {
+      g_stat_busy_ns.fetch_add(chunk0_ns, std::memory_order_relaxed);
+      g_stat_wall_ns.fetch_add(chunk0_ns, std::memory_order_relaxed);
+    }
+  } else {
+    g_stat_serial_regions.fetch_add(1, std::memory_order_relaxed);
+    if (!pays) g_stat_declined_regions.fetch_add(1, std::memory_order_relaxed);
+    for (int64_t b = begin + grain; b < end; b += grain) {
+      fn(b, std::min(end, b + grain));
     }
   }
-  g_stat_serial_regions.fetch_add(1, std::memory_order_relaxed);
-  // Same static chunk walk as the team, executed inline. It needs no
-  // observer: the caller's own scope is already current here.
-  for (int64_t b = begin; b < end; b += grain) {
-    fn(b, std::min(end, b + grain));
-  }
+  t_in_region = false;
 }
 
 double ParallelReduce(

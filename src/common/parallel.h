@@ -19,11 +19,16 @@ namespace graphaug {
 ///    chunk partials in chunk order so they are too.
 ///  * Team width. min(NumThreads(), max(2, hardware_concurrency)) threads
 ///    including the dispatcher; a region wakes at most one fewer worker
-///    than it has chunks.
+///    than it hands the team chunks.
+///  * Measured dispatch. The dispatcher runs chunk 0 itself and times it;
+///    only when chunk 0's time x (chunks - 1) reaches a fixed break-even
+///    (and at least two chunks remain) does it hand chunks 1..n-1 to the
+///    team. Cheaper regions are "declined" and walk on inline.
 ///  * Inline execution. Single-chunk ranges, a 1-thread configuration, a
-///    ParallelFor issued from inside a chunk, and a region dispatched from
-///    a second thread while the team is busy all run on the calling
-///    thread — same chunk walk, same results, no dispatch or deadlock.
+///    declined region, a ParallelFor issued from inside any chunk of a
+///    multi-chunk region, and a region dispatched from a second thread
+///    while the team is busy all run on the calling thread — same chunk
+///    walk, same results, no dispatch or deadlock.
 ///  * Thread-count resolution order: SetNumThreads() (wired to the
 ///    --threads flag in every binary) > GRAPHAUG_NUM_THREADS env var >
 ///    std::thread::hardware_concurrency().
@@ -92,7 +97,11 @@ void ClearParallelTagObserver();
 struct ParallelStats {
   int64_t pool_regions = 0;    ///< regions dispatched to the team
   int64_t serial_regions = 0;  ///< regions that ran inline on the caller
-  int64_t pool_chunks = 0;     ///< chunks executed via the team
+  /// Multi-chunk regions the measured dispatch kept inline (a subset of
+  /// serial_regions): chunk 0's time x (chunks - 1) fell short of the
+  /// break-even, or only one chunk was left to share.
+  int64_t declined_regions = 0;
+  int64_t pool_chunks = 0;  ///< chunks handed to the team (all but chunk 0)
   int64_t busy_ns = 0;   ///< summed per-chunk execution time (timed mode)
   int64_t wall_ns = 0;   ///< summed region wall time (timed mode)
 };

@@ -197,6 +197,10 @@ SyntheticConfig PresetConfig(const std::string& preset_name) {
   return cfg;
 }
 
+std::vector<std::string> PresetNames() {
+  return {"gowalla-sim", "retailrocket-sim", "amazon-sim", "tiny"};
+}
+
 SyntheticData GeneratePreset(const std::string& preset_name, uint64_t seed) {
   SyntheticConfig cfg = PresetConfig(preset_name);
   if (seed != 0) cfg.seed = seed;

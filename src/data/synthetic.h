@@ -2,6 +2,7 @@
 #define GRAPHAUG_DATA_SYNTHETIC_H_
 
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "tensor/matrix.h"
@@ -58,8 +59,11 @@ SyntheticData GenerateSynthetic(const SyntheticConfig& config);
 
 /// Named presets mirroring the paper's three benchmarks at laptop scale
 /// ("gowalla-sim", "retailrocket-sim", "amazon-sim"); density ordering and
-/// skew match Table I qualitatively. Aborts on unknown names.
+/// skew match Table I qualitatively. Aborts on names not in PresetNames().
 SyntheticConfig PresetConfig(const std::string& preset_name);
+
+/// Every name PresetConfig accepts: the three benchmarks plus "tiny".
+std::vector<std::string> PresetNames();
 
 /// Convenience: generate a preset by name with an optional seed override.
 SyntheticData GeneratePreset(const std::string& preset_name,

@@ -26,8 +26,9 @@ const char* GnnStyleName(GnnStyle style) {
 GnnRecommender::GnnRecommender(const Dataset* dataset,
                                const ModelConfig& config, GnnStyle style)
     : Recommender(dataset, config), style_(style) {
-  adj_ = graph_.BuildNormalizedAdjacency(1.f);
-  adj_plain_ = graph_.BuildNormalizedAdjacency(0.f);
+  // LightGCN propagates without self-loops, the transform styles with.
+  adj_ = graph_.BuildNormalizedAdjacency(
+      style == GnnStyle::kLightGcn ? 0.f : 1.f);
   embeddings_ = store_.CreateNormal("embeddings", graph_.num_nodes(),
                                     config.dim, &rng_);
   const int layers =
@@ -60,8 +61,7 @@ Var GnnRecommender::Encode(Tape* tape, bool train_mode) {
   Var e = ag::Leaf(tape, embeddings_);
   switch (style_) {
     case GnnStyle::kLightGcn:
-      return LightGcnPropagate(tape, &adj_plain_.matrix, e,
-                               config_.num_layers);
+      return LightGcnPropagate(tape, &adj_.matrix, e, config_.num_layers);
     case GnnStyle::kGcmc: {
       Var h = ag::Spmm(&adj_.matrix, e);
       h = w1_[0].Forward(tape, h);

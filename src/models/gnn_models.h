@@ -43,8 +43,8 @@ class GnnRecommender : public Recommender {
 
  private:
   GnnStyle style_;
-  NormalizedAdjacency adj_;        ///< with self-loops (transform styles)
-  NormalizedAdjacency adj_plain_;  ///< without self-loops (LightGCN)
+  /// Self-loop weight 0 for LightGCN, 1 for the transform styles.
+  NormalizedAdjacency adj_;
   NormalizedAdjacency epoch_adj_;  ///< PinSage per-epoch sampled graph
   BipartiteGraph epoch_graph_;
   Parameter* embeddings_;

@@ -40,6 +40,7 @@ std::string ParallelJson() {
   os << "{\"threads\": " << threads
      << ", \"pool_regions\": " << s.pool_regions
      << ", \"serial_regions\": " << s.serial_regions
+     << ", \"declined_regions\": " << s.declined_regions
      << ", \"pool_chunks\": " << s.pool_chunks
      << ", \"busy_ms\": " << JsonNumber(static_cast<double>(s.busy_ns) / 1e6)
      << ", \"wall_ms\": " << JsonNumber(static_cast<double>(s.wall_ns) / 1e6)
@@ -52,6 +53,8 @@ void RefreshParallelGauges() {
   const int threads = NumThreads();
   MetricsRegistry& reg = MetricsRegistry::Get();
   reg.GetGauge("parallel.threads")->Set(static_cast<double>(threads));
+  reg.GetGauge("parallel.declined_regions")
+      ->Set(static_cast<double>(s.declined_regions));
   reg.GetGauge("parallel.utilization")
       ->Set(s.wall_ns > 0 ? static_cast<double>(s.busy_ns) /
                                 (static_cast<double>(s.wall_ns) *
@@ -96,7 +99,8 @@ std::string AsciiReport() {
   const ParallelStats s = GetParallelStats();
   os << "Parallel runtime: " << NumThreads() << " threads, "
      << s.pool_regions << " pool regions (" << s.pool_chunks << " chunks), "
-     << s.serial_regions << " serial regions";
+     << s.serial_regions << " serial regions (" << s.declined_regions
+     << " declined below the break-even)";
   if (s.wall_ns > 0) {
     os << ", utilization "
        << FormatDouble(static_cast<double>(s.busy_ns) /

@@ -1,11 +1,15 @@
 // Tests for the data pipeline: synthetic generator statistical
 // properties, preset density ordering, train/test splitting, TSV
-// round-trips, BPR sampling validity, and dataset statistics.
+// round-trips and malformed-file errors, BPR sampling validity, and
+// dataset statistics.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "data/dataset.h"
 #include "data/io.h"
@@ -139,6 +143,110 @@ TEST(IoTest, TsvRoundTrip) {
 TEST(IoTest, MissingFileReturnsFalse) {
   Dataset d;
   EXPECT_FALSE(LoadDatasetTsv("/nonexistent/nope.tsv", &d));
+  std::string error;
+  EXPECT_FALSE(LoadDatasetTsv("/nonexistent/nope.tsv", &d, &error));
+  EXPECT_EQ(error, "/nonexistent/nope.tsv: cannot open");
+}
+
+/// Writes `content` to a temporary TSV and returns its path.
+std::string WriteTsv(const std::string& name, const std::string& content) {
+  const std::string path = "/tmp/graphaug_io_test_" + name + ".tsv";
+  std::ofstream(path, std::ios::binary) << content;
+  return path;
+}
+
+TEST(IoTest, MalformedRowsAndHeadersFailWithPathLineAndReason) {
+  const std::string head = "#users\t3\n#items\t4\n";
+  struct Case {
+    const char* name;
+    std::string content;
+    const char* want;  // expected error after "<path>"
+  };
+  const Case cases[] = {
+      {"short_row", head + "0\t1\n", ":3: short row"},
+      {"garbage_user", head + "zero\t1\ttrain\n", ":3: user id 'zero'"},
+      {"garbage_item", head + "0\t1x\ttrain\n", ":3: item id '1x'"},
+      {"exponent_id", head + "1e2\t1\ttrain\n", ":3: user id '1e2'"},
+      {"negative_user", head + "-1\t1\ttrain\n",
+       ":3: user id '-1' is not an integer in [0, 3)"},
+      {"user_at_count", head + "3\t1\ttrain\n",
+       ":3: user id '3' is not an integer in [0, 3)"},
+      {"item_past_count", head + "0\t1\ttrain\n2\t9\ttest\n",
+       ":4: item id '9' is not an integer in [0, 4)"},
+      {"overflowing_id", head + "99999999999\t1\ttrain\n",
+       ":3: user id '99999999999'"},
+      {"bad_split", head + "0\t1\tvalid\n", ":3: bad split tag 'valid'"},
+      {"bad_flag", head + "0\t1\ttrain\tyes\n", ":3: bad noise flag 'yes'"},
+      {"header_no_value", "#users\n#items\t4\n", ":1: bad header '#users'"},
+      {"header_garbage", "#users\tmany\n", ":1: bad #users count 'many'"},
+      {"header_negative", "#items\t-4\n", ":1: bad #items count '-4'"},
+      {"row_before_header", "0\t1\ttrain\n" + head,
+       ":1: row before the #users and #items headers"},
+      {"no_headers", "#name\tx\n", ": missing #users or #items header"},
+      {"no_train_rows", head + "0\t1\ttest\n", ": no train rows"},
+      {"binary_field", head + std::string("0\t1\ttr\x01\xff\n"),
+       ":3: bad split tag 'tr??'"},
+  };
+  for (const Case& c : cases) {
+    const std::string path = WriteTsv(c.name, c.content);
+    Dataset d;
+    std::string error;
+    EXPECT_FALSE(LoadDatasetTsv(path, &d, &error)) << c.name;
+    EXPECT_EQ(error.rfind(path + c.want, 0), 0u)
+        << c.name << ": got '" << error << "'";
+    EXPECT_EQ(error.find('\n'), std::string::npos) << c.name;
+    EXPECT_FALSE(LoadDatasetTsv(path, &d)) << c.name;  // no error sink
+    std::remove(path.c_str());
+  }
+}
+
+TEST(IoTest, TruncatedFileLoadsOrFailsWithOneLine) {
+  // Cut a saved dataset at many byte offsets: each prefix either loads
+  // (cut at a row boundary or inside the optional noise flag) with
+  // in-range ids, or fails with a "<path>:<line>:" reason.
+  std::ostringstream full_stream;
+  {
+    const std::string path = "/tmp/graphaug_io_test_full.tsv";
+    ASSERT_TRUE(SaveDatasetTsv(GeneratePreset("tiny").dataset, path));
+    full_stream << std::ifstream(path).rdbuf();
+    std::remove(path.c_str());
+  }
+  const std::string full = full_stream.str();
+  int loaded = 0;
+  int failed = 0;
+  for (size_t cut = 0; cut < full.size(); cut += 37) {
+    const std::string path = WriteTsv("truncated", full.substr(0, cut));
+    Dataset d;
+    std::string error;
+    if (LoadDatasetTsv(path, &d, &error)) {
+      ++loaded;
+      for (const Edge& e : d.train_edges) {
+        EXPECT_LT(e.user, d.num_users);
+        EXPECT_LT(e.item, d.num_items);
+      }
+    } else {
+      ++failed;
+      EXPECT_EQ(error.rfind(path + ":", 0), 0u) << "cut " << cut;
+      EXPECT_EQ(error.find('\n'), std::string::npos) << "cut " << cut;
+    }
+    std::remove(path.c_str());
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(failed, 0);
+}
+
+TEST(IoTest, RandomBytesFailWithoutAborting) {
+  Rng rng(29);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::string bytes(512 + 97 * trial, '\0');
+    for (char& b : bytes) b = static_cast<char>(rng.UniformInt(256));
+    const std::string path = WriteTsv("random", bytes);
+    Dataset d;
+    std::string error;
+    EXPECT_FALSE(LoadDatasetTsv(path, &d, &error)) << "trial " << trial;
+    EXPECT_EQ(error.rfind(path + ":", 0), 0u) << "trial " << trial;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(SamplerTest, TripletsAreValid) {

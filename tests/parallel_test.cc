@@ -1,9 +1,9 @@
 // Tests for the shared parallel runtime (common/parallel.h) and the
 // determinism contract of every parallelized kernel: the fork-join team
-// (static chunk walk, inline nested and concurrent dispatch, resize,
-// worker hooks), static chunking coverage, and exact bitwise equality of
-// serial vs. parallel Gemm / Spmm / SpmmT / EdgeWeightedSpmm / FillNormal /
-// evaluator outputs at 1, 2, and 7 threads.
+// (measured dispatch, static chunk walk, inline nested and concurrent
+// dispatch, resize, worker hooks), static chunking coverage, and exact
+// bitwise equality of serial vs. parallel Gemm / Spmm / SpmmT /
+// EdgeWeightedSpmm / FillNormal / evaluator outputs at 1, 2, and 7 threads.
 
 #include <gtest/gtest.h>
 
@@ -78,6 +78,68 @@ bool ArriveAndWait(std::atomic<int>* arrived, int n) {
   return true;
 }
 
+/// Makes the chunk that calls it cost 5 ms of wall time, ten times the
+/// runtime's 500 us break-even. Put in chunk 0 (which the dispatcher runs
+/// and times), it sends a region of three or more chunks to the team.
+void SpendPastBreakEven() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+}
+
+TEST(ParallelTeamTest, RegionBelowBreakEvenRunsInlineInChunkOrder) {
+  ThreadCountGuard guard;
+  SetNumThreads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  const ParallelStats before = GetParallelStats();
+  // Four near-empty chunks: chunk 0's time x 3 is far below the
+  // break-even, so the caller walks chunks 1..3 itself, in order.
+  std::atomic<int> next{0};
+  int64_t order[4] = {-1, -1, -1, -1};
+  std::thread::id ran_on[4];
+  ParallelFor(0, 4, 1, [&](int64_t b, int64_t) {
+    const int slot = next.fetch_add(1);
+    order[slot] = b;
+    ran_on[slot] = std::this_thread::get_id();
+  });
+  const ParallelStats after = GetParallelStats();
+  ASSERT_EQ(next.load(), 4);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(ran_on[i], caller);
+  }
+  EXPECT_EQ(after.serial_regions - before.serial_regions, 1);
+  EXPECT_EQ(after.declined_regions - before.declined_regions, 1);
+  EXPECT_EQ(after.pool_regions, before.pool_regions);
+}
+
+TEST(ParallelTeamTest, RegionAboveBreakEvenReachesAWorker) {
+  ThreadCountGuard guard;
+  SetNumThreads(4);
+  const std::thread::id dispatcher = std::this_thread::get_id();
+  const ParallelStats before = GetParallelStats();
+  std::atomic<int> arrived{0};
+  std::atomic<bool> met{true};
+  std::thread::id ran_on[3];
+  ParallelFor(0, 3, 1, [&](int64_t b, int64_t) {
+    // Chunk 0 is costly, so chunks 1 and 2 go to the team; they wait for
+    // each other, so one of them runs on a worker.
+    if (b == 0) {
+      SpendPastBreakEven();
+    } else if (!ArriveAndWait(&arrived, 2)) {
+      met = false;
+    }
+    ran_on[b] = std::this_thread::get_id();
+  });
+  const ParallelStats after = GetParallelStats();
+  ASSERT_TRUE(met.load());
+  EXPECT_EQ(ran_on[0], dispatcher);
+  EXPECT_NE(ran_on[1], ran_on[2]);
+  EXPECT_TRUE(ran_on[1] != dispatcher || ran_on[2] != dispatcher);
+  EXPECT_EQ(after.pool_regions - before.pool_regions, 1);
+  EXPECT_EQ(after.pool_chunks - before.pool_chunks, 2);
+  EXPECT_EQ(after.serial_regions, before.serial_regions);
+  EXPECT_EQ(after.declined_regions, before.declined_regions);
+}
+
 TEST(ParallelTeamTest, StaticChunkWalkAtWidthFour) {
   ThreadCountGuard guard;
   SetNumThreads(4);
@@ -86,6 +148,7 @@ TEST(ParallelTeamTest, StaticChunkWalkAtWidthFour) {
   std::mutex mu;
   std::vector<std::pair<int64_t, int64_t>> chunks;
   ParallelFor(3, 47, 10, [&](int64_t b, int64_t e) {
+    if (b == 3) SpendPastBreakEven();
     std::lock_guard<std::mutex> lock(mu);
     chunks.push_back({b, e});
   });
@@ -101,13 +164,18 @@ TEST(ParallelTeamTest, NestedRegionRunsInlineOnWorkerAndDispatcher) {
   const std::thread::id dispatcher = std::this_thread::get_id();
   std::atomic<int> arrived{0};
   std::atomic<bool> met{true};
-  std::thread::id outer_thread[2];
-  std::vector<int64_t> inner_order[2];
-  std::vector<std::thread::id> inner_thread[2];
-  ParallelFor(0, 2, 1, [&](int64_t b, int64_t) {
-    // Both chunks wait for each other, so one runs on the dispatcher and
-    // the other on a worker.
-    if (!ArriveAndWait(&arrived, 2)) met = false;
+  std::thread::id outer_thread[3];
+  std::vector<int64_t> inner_order[3];
+  std::vector<std::thread::id> inner_thread[3];
+  ParallelFor(0, 3, 1, [&](int64_t b, int64_t) {
+    // Chunk 0 runs on the dispatcher and is costly, so chunks 1 and 2 go
+    // to the team. They wait for each other, so one runs on the
+    // dispatcher and the other on a worker.
+    if (b == 0) {
+      SpendPastBreakEven();
+    } else if (!ArriveAndWait(&arrived, 2)) {
+      met = false;
+    }
     outer_thread[b] = std::this_thread::get_id();
     ParallelFor(0, 6, 1, [&](int64_t ib, int64_t) {
       inner_order[b].push_back(ib);
@@ -115,9 +183,10 @@ TEST(ParallelTeamTest, NestedRegionRunsInlineOnWorkerAndDispatcher) {
     });
   });
   ASSERT_TRUE(met.load());
-  EXPECT_NE(outer_thread[0], outer_thread[1]);
-  EXPECT_TRUE(outer_thread[0] == dispatcher || outer_thread[1] == dispatcher);
-  for (int b = 0; b < 2; ++b) {
+  EXPECT_EQ(outer_thread[0], dispatcher);
+  EXPECT_NE(outer_thread[1], outer_thread[2]);
+  EXPECT_TRUE(outer_thread[1] == dispatcher || outer_thread[2] == dispatcher);
+  for (int b = 0; b < 3; ++b) {
     // Inline means: every inner chunk on the outer chunk's thread, in
     // chunk order.
     EXPECT_EQ(inner_order[b], (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
@@ -133,6 +202,7 @@ TEST(ParallelTeamTest, ResizeBetweenRegionsCoversEveryIndexOnce) {
     SetNumThreads(t);
     std::vector<std::atomic<int>> hits(1000);
     ParallelFor(0, 1000, 7, [&](int64_t b, int64_t e) {
+      if (b == 0) SpendPastBreakEven();
       for (int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
     });
     for (auto& h : hits) ASSERT_EQ(h.load(), 1) << "threads=" << t;
@@ -149,18 +219,35 @@ TEST(ParallelTeamTest, SecondThreadRegionWhileTeamBusyIsBitwiseEqual) {
   Matrix ref;
   Gemm(a, false, b, false, 1.f, 0.f, &ref);
 
-  // The second thread's Gemm is dispatched from inside the main thread's
-  // region, while the team is held: it runs inline with the same chunks.
-  const int64_t serial_before = GetParallelStats().serial_regions;
+  // Chunk 0 is costly, so chunks 1..3 go to the team. The second thread
+  // dispatches from inside chunk 1, while the team is held: its Gemm and
+  // a region costly enough for the team both run inline with the same
+  // chunks.
+  const ParallelStats before = GetParallelStats();
   Matrix concurrent;
+  std::vector<int64_t> second_order;
+  std::vector<std::thread::id> second_ran_on;
+  std::thread::id second_id;
   ParallelFor(0, 4, 1, [&](int64_t c, int64_t) {
-    if (c != 0) return;
-    std::thread second(
-        [&] { Gemm(a, false, b, false, 1.f, 0.f, &concurrent); });
+    if (c == 0) SpendPastBreakEven();
+    if (c != 1) return;
+    std::thread second([&] {
+      second_id = std::this_thread::get_id();
+      Gemm(a, false, b, false, 1.f, 0.f, &concurrent);
+      ParallelFor(0, 3, 1, [&](int64_t ib, int64_t) {
+        if (ib == 0) SpendPastBreakEven();
+        second_order.push_back(ib);
+        second_ran_on.push_back(std::this_thread::get_id());
+      });
+    });
     second.join();
   });
+  const ParallelStats after = GetParallelStats();
   EXPECT_TRUE(BitwiseEqual(ref, concurrent));
-  EXPECT_GT(GetParallelStats().serial_regions, serial_before);
+  EXPECT_GT(after.serial_regions, before.serial_regions);
+  EXPECT_EQ(after.pool_regions - before.pool_regions, 1);
+  EXPECT_EQ(second_order, (std::vector<int64_t>{0, 1, 2}));
+  for (const std::thread::id& id : second_ran_on) EXPECT_EQ(id, second_id);
 }
 
 std::mutex g_hook_mu;
@@ -229,6 +316,7 @@ TEST(ParallelRuntimeTest, ParallelForCoversEveryIndexOnce) {
     SetNumThreads(t);
     std::vector<std::atomic<int>> hits(1000);
     ParallelFor(0, 1000, 7, [&](int64_t b, int64_t e) {
+      if (b == 0) SpendPastBreakEven();
       for (int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
     });
     for (auto& h : hits) ASSERT_EQ(h.load(), 1);
@@ -262,8 +350,9 @@ TEST(ParallelRuntimeTest, ParallelReduceIdenticalAcrossThreadCounts) {
 TEST(ParallelKernelsTest, GemmBitwiseIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
   Rng rng(11);
-  // Tall enough that every transpose combination spans several chunks.
-  Matrix a(193, 67), b(67, 141), at(67, 193), bt(141, 67);
+  // Tall enough that every transpose combination spans several chunks,
+  // and large enough that the team takes them.
+  Matrix a(389, 131), b(131, 517), at(131, 389), bt(517, 131);
   InitNormal(&a, &rng);
   InitNormal(&b, &rng);
   InitNormal(&at, &rng);
@@ -294,7 +383,7 @@ TEST(ParallelKernelsTest, GemmBitwiseIdenticalAcrossThreadCounts) {
 
 TEST(ParallelKernelsTest, SpmmAndSpmmTBitwiseIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  BipartiteGraph g = RandomGraph(257, 181, 4000, 5);
+  BipartiteGraph g = RandomGraph(2579, 1811, 60000, 5);
   NormalizedAdjacency adj = g.BuildNormalizedAdjacency(1.f);
   Rng rng(6);
   Matrix h(g.num_nodes(), 24);
@@ -345,7 +434,9 @@ TEST(ParallelScopeTest, WorkerChunkAllocationsChargeToDispatchingOp) {
   constexpr int64_t kChunks = 64;
   {
     GA_AG_OP("ParallelTestAllocOp", 0, 0);
+    // A costly chunk 0 sends chunks 1..63 to the workers.
     ParallelFor(0, kChunks, 1, [](int64_t b, int64_t e) {
+      if (b == 0) SpendPastBreakEven();
       for (int64_t i = b; i < e; ++i) {
         Matrix m(8, 8);
         ASSERT_NE(m.data(), nullptr);
@@ -468,7 +559,7 @@ TEST(ParallelKernelsTest, EvaluatorIdenticalAcrossThreadCounts) {
 TEST(ParallelKernelsTest, ElementwiseAndReductionsIdentical) {
   ThreadCountGuard guard;
   Rng rng(17);
-  Matrix a(700, 90), b(700, 90);
+  Matrix a(2000, 1000), b(2000, 1000);
   InitNormal(&a, &rng);
   InitNormal(&b, &rng);
 
@@ -492,13 +583,13 @@ TEST(ParallelKernelsTest, ElementwiseAndReductionsIdentical) {
 
 TEST(ParallelKernelsTest, FillNormalIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  // 99,900 elements: a dozen chunks, the last one partial.
-  Matrix ref(300, 333);
+  // 333,000 elements: 41 chunks, the last one partial.
+  Matrix ref(1000, 333);
   SetNumThreads(1);
   FillNormal(&ref, 42, 0.f, 0.1f);
   for (int t : kThreadCounts) {
     SetNumThreads(t);
-    Matrix m(300, 333);
+    Matrix m(1000, 333);
     FillNormal(&m, 42, 0.f, 0.1f);
     EXPECT_TRUE(BitwiseEqual(ref, m)) << t;
   }

@@ -95,11 +95,42 @@ int Usage() {
   return 2;
 }
 
-/// Resolves --dataset (TSV path) or --preset into a Dataset.
-bool ResolveDataset(const FlagParser& flags, Dataset* out) {
+/// Returns true when `name` is one of `known`; otherwise prints one line
+/// naming the valid choices and returns false (the caller exits 2).
+bool KnownName(const char* flag, const std::string& name,
+               const std::vector<std::string>& known) {
+  if (std::find(known.begin(), known.end(), name) != known.end()) {
+    return true;
+  }
+  std::string valid;
+  for (const std::string& n : known) {
+    if (!valid.empty()) valid += "|";
+    valid += n;
+  }
+  std::fprintf(stderr, "unknown --%s '%s' (expected %s)\n", flag,
+               name.c_str(), valid.c_str());
+  return false;
+}
+
+/// Checks --preset against the preset list unless --dataset names a file.
+bool KnownDatasetSource(const FlagParser& flags) {
+  return flags.Has("dataset") ||
+         KnownName("preset", flags.GetString("preset", "gowalla-sim"),
+                   PresetNames());
+}
+
+/// Resolves --dataset (TSV path) or a --preset checked by
+/// KnownDatasetSource into a Dataset. On failure prints one line naming
+/// the command and the reason.
+bool ResolveDataset(const char* cmd, const FlagParser& flags, Dataset* out) {
   if (flags.Has("dataset")) {
     GA_TRACE_SPAN("data_load");
-    return LoadDatasetTsv(flags.GetString("dataset", ""), out);
+    std::string error;
+    if (LoadDatasetTsv(flags.GetString("dataset", ""), out, &error)) {
+      return true;
+    }
+    std::fprintf(stderr, "%s: cannot load dataset: %s\n", cmd, error.c_str());
+    return false;
   }
   GA_TRACE_SPAN("data_generate");
   const std::string preset = flags.GetString("preset", "gowalla-sim");
@@ -113,18 +144,7 @@ bool ResolveDataset(const FlagParser& flags, Dataset* out) {
 /// Returns false (after printing the valid names) on an unknown name.
 bool ResolveAugmentor(const FlagParser& flags, std::string* name) {
   *name = flags.GetString("augmentor", "gib");
-  const std::vector<std::string> known = AllAugmenterNames();
-  if (std::find(known.begin(), known.end(), *name) != known.end()) {
-    return true;
-  }
-  std::string valid;
-  for (const std::string& n : known) {
-    if (!valid.empty()) valid += "|";
-    valid += n;
-  }
-  std::fprintf(stderr, "unknown --augmentor '%s' (expected %s)\n",
-               name->c_str(), valid.c_str());
-  return false;
+  return KnownName("augmentor", *name, AllAugmenterNames());
 }
 
 ModelConfig ConfigFromFlags(const FlagParser& flags) {
@@ -192,6 +212,7 @@ int NonFiniteLoss(const char* cmd, int epoch) {
 
 int CmdGenerate(const FlagParser& flags) {
   const std::string preset = flags.GetString("preset", "gowalla-sim");
+  if (!KnownName("preset", preset, PresetNames())) return 2;
   const std::string out = flags.GetString("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "generate: --out is required\n");
@@ -215,11 +236,9 @@ int CmdGenerate(const FlagParser& flags) {
 }
 
 int CmdStats(const FlagParser& flags) {
+  if (!KnownDatasetSource(flags)) return 2;
   Dataset dataset;
-  if (!ResolveDataset(flags, &dataset)) {
-    std::fprintf(stderr, "stats: cannot load dataset\n");
-    return 1;
-  }
+  if (!ResolveDataset("stats", flags, &dataset)) return 1;
   DatasetStats s = ComputeStats(dataset);
   Table t({"Field", "Value"});
   t.AddRow({"name", dataset.name});
@@ -242,14 +261,15 @@ int CmdTrain(const FlagParser& flags) {
   const int epochs = flags.GetInt32("epochs", 24);
   const int eval_every = EvalEveryFlag(flags, epochs);
   if (!ValidTrainingConfig("train", cfg, epochs, eval_every)) return 2;
-  Dataset dataset;
-  if (!ResolveDataset(flags, &dataset)) {
-    std::fprintf(stderr, "train: cannot load dataset\n");
-    return 1;
-  }
   const std::string model_name = flags.GetString("model", "GraphAug");
   std::string augmentor;
-  if (!ResolveAugmentor(flags, &augmentor)) return 2;
+  if (!KnownDatasetSource(flags) ||
+      !KnownName("model", model_name, AllModelNames()) ||
+      !ResolveAugmentor(flags, &augmentor)) {
+    return 2;
+  }
+  Dataset dataset;
+  if (!ResolveDataset("train", flags, &dataset)) return 1;
   std::unique_ptr<Recommender> model;
   {
     // Model construction builds the training graph and its normalized
@@ -386,11 +406,13 @@ int CmdRecommend(const FlagParser& flags) {
     }
     std::fclose(probe);
   }
-  Dataset dataset;
-  if (!ResolveDataset(flags, &dataset)) {
-    std::fprintf(stderr, "recommend: cannot load dataset\n");
-    return 1;
+  const std::string model_name = flags.GetString("model", "GraphAug");
+  if (!KnownDatasetSource(flags) ||
+      !KnownName("model", model_name, AllModelNames())) {
+    return 2;
   }
+  Dataset dataset;
+  if (!ResolveDataset("recommend", flags, &dataset)) return 1;
   const std::string ckpt = flags.GetString("checkpoint", "");
   if (ckpt.empty()) {
     std::fprintf(stderr, "recommend: --checkpoint is required\n");
@@ -399,8 +421,7 @@ int CmdRecommend(const FlagParser& flags) {
   std::unique_ptr<Recommender> model;
   {
     GA_TRACE_SPAN("model_build");
-    model = CreateModel(flags.GetString("model", "GraphAug"), &dataset,
-                        ConfigFromFlags(flags));
+    model = CreateModel(model_name, &dataset, ConfigFromFlags(flags));
     if (!LoadCheckpoint(model->params(), ckpt)) {
       std::fprintf(stderr, "recommend: cannot load %s\n", ckpt.c_str());
       return 1;
@@ -505,13 +526,12 @@ int CmdDenoise(const FlagParser& flags) {
                            EvalEveryFlag(flags, epochs))) {
     return 2;
   }
-  Dataset dataset;
-  if (!ResolveDataset(flags, &dataset)) {
-    std::fprintf(stderr, "denoise: cannot load dataset\n");
-    return 1;
-  }
   std::string augmentor;
-  if (!ResolveAugmentor(flags, &augmentor)) return 2;
+  if (!KnownDatasetSource(flags) || !ResolveAugmentor(flags, &augmentor)) {
+    return 2;
+  }
+  Dataset dataset;
+  if (!ResolveDataset("denoise", flags, &dataset)) return 1;
   cfg.augmentor.name = augmentor;
   std::unique_ptr<GraphAug> model_ptr;
   {
@@ -688,9 +708,10 @@ int Main(int argc, char** argv) {
     }
   }
   if (obs_report) std::printf("%s", obs::AsciiReport().c_str());
-  // A usage error (rc 2) stops a command before it reads its other flags;
-  // listing those as unused would bury the one-line error.
-  if (rc != 2) {
+  // A usage error (rc 2) or an input error (rc 1, e.g. a malformed
+  // --dataset) stops a command before it reads its other flags; listing
+  // those as unused would bury the one-line error.
+  if (rc == 0) {
     for (const std::string& f : flags.UnusedFlags()) {
       std::fprintf(stderr, "warning: unused flag --%s\n", f.c_str());
     }

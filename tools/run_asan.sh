@@ -9,7 +9,8 @@
 # the shared top-K selection, and the autograd tape, whose backward
 # closures move gradient buffers between nodes and whose ops write into
 # uninitialized outputs: autograd_test, tape_internals_test and
-# augment_test) under ASan+UBSan.
+# augment_test, and the TSV loader, fed truncated, garbage and random-byte
+# files by data_test) under ASan+UBSan.
 # Any error aborts the run.
 #
 # Usage: tools/run_asan.sh [extra ctest args...]
@@ -20,14 +21,14 @@ cd "$(dirname "$0")/.."
 cmake --preset asan
 cmake --build --preset asan \
   --target parallel_test graph_test retrieval_test simd_test obs_test \
-  eval_test autograd_test tape_internals_test augment_test \
+  eval_test autograd_test tape_internals_test augment_test data_test \
   -j "$(nproc)"
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=0}" \
   ctest --test-dir build-asan --output-on-failure \
-        -R '^(parallel_test|graph_test|retrieval_test|simd_test|obs_test|eval_test|autograd_test|tape_internals_test|augment_test)$' \
+        -R '^(parallel_test|graph_test|retrieval_test|simd_test|obs_test|eval_test|autograd_test|tape_internals_test|augment_test|data_test)$' \
         "$@"
 
 echo "asan: parallel_test + graph_test + retrieval_test + simd_test +" \
   "obs_test + eval_test + autograd_test + tape_internals_test +" \
-  "augment_test clean"
+  "augment_test + data_test clean"

@@ -151,5 +151,47 @@ for sub in train denoise; do
     cat "$WORK/err.txt" "$WORK/out.txt" >&2; exit 1; }
 done
 
+# An unknown preset or model is a usage error: one line naming the valid
+# choices and exit 2, checked before any data is built or loaded.
+for args in "generate --preset=nope --out=$WORK/nope.tsv" \
+            "stats --preset=nope" "train --preset=nope" \
+            "train --preset=tiny --model=Nope" "denoise --preset=nope" \
+            "recommend --preset=nope --checkpoint=$CKPT" \
+            "recommend --preset=tiny --model=Nope --checkpoint=$CKPT"; do
+  rc=0
+  # $args is split into words on purpose.
+  "$CLI" $args --log-level=warn >"$WORK/out.txt" 2>"$WORK/err.txt" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: $args exited $rc (want the usage error rc 2)" >&2; exit 1
+  fi
+  grep -q "(expected " "$WORK/err.txt" &&
+    [ "$(wc -l <"$WORK/err.txt")" -eq 1 ] || {
+    echo "FAIL: $args must print one line naming the choices, got:" >&2
+    cat "$WORK/err.txt" >&2; exit 1; }
+done
+
+# A malformed dataset file is an input error: one line naming the file
+# and line, and exit 1 -- never an abort, and no unused-flag warnings for
+# the flags the command never reached (--checkpoint).
+printf '#users\t3\n#items\t3\n0\t1\n' >"$WORK/short.tsv"
+printf '#users\t3\n#items\t3\nzero\t1\ttrain\n' >"$WORK/garbage.tsv"
+printf '#users\t3\n#items\t3\n0\t7\ttrain\n' >"$WORK/range.tsv"
+printf '#users\n#items\t3\n0\t1\ttrain\n' >"$WORK/header.tsv"
+printf '#users\t3\n#items\t3\n0\t1\tvalid\n' >"$WORK/split.tsv"
+for bad in short garbage range header split; do
+  for sub in stats train; do
+    rc=0
+    "$CLI" "$sub" --dataset="$WORK/$bad.tsv" --checkpoint="$WORK/never.bin" \
+      --log-level=warn >"$WORK/out.txt" 2>"$WORK/err.txt" || rc=$?
+    if [ "$rc" -ne 1 ]; then
+      echo "FAIL: $sub on $bad.tsv exited $rc (want 1)" >&2; exit 1
+    fi
+    grep -q "$bad.tsv:[0-9]" "$WORK/err.txt" &&
+      [ "$(wc -l <"$WORK/err.txt")" -eq 1 ] || {
+      echo "FAIL: $sub on $bad.tsv must print one path:line line, got:" >&2
+      cat "$WORK/err.txt" >&2; exit 1; }
+  done
+done
+
 echo "obs smoke ok: metrics=$(wc -c <"$METRICS")B trace=$(wc -c <"$TRACE")B" \
      "report=$(wc -c <"$REPORT")B"
